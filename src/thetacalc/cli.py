@@ -5,9 +5,7 @@ pgl, fm, heisenberg census) or run the identity suite (identities).
 Results print to stdout in one of four formats (plain, json, csv,
 latex); every exact value is rendered as an integer or reduced fraction
 string, never a decimal, so all formats carry identical values.  Timing
-goes to stderr, keeping stdout byte-for-byte reproducible, and the
-identity suite schedules its cases on a thread pool whose size never
-affects the output, only the wall clock.
+goes to stderr, keeping stdout byte-for-byte reproducible.
 
 Exit codes: 0 success; 1 a hypothesis of a formula was violated by the
 parameters; 2 an identity or internal consistency check failed; 3 usage
@@ -22,7 +20,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -37,14 +34,13 @@ FORMATS = ("plain", "json", "csv", "latex")
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """One command's output: parameters, a small table, mode, timing."""
+    """One command's output: parameters, a small table, mode."""
 
     command: str
     params: tuple[tuple[str, str], ...]
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     mode: str
-    elapsed_ms: int
 
 
 def _is_single_value(record: OutputRecord) -> bool:
@@ -101,7 +97,7 @@ def _float_str(value: Fraction) -> str:
         return mpmath.nstr(approx, 15)
 
 
-def _value_record(command, params, value, mode, elapsed_ms=0) -> OutputRecord:
+def _value_record(command, params, value, mode) -> OutputRecord:
     if mode == "float":
         text = _float_str(Fraction(value))
     else:
@@ -112,7 +108,6 @@ def _value_record(command, params, value, mode, elapsed_ms=0) -> OutputRecord:
         ("result",),
         ((text,),),
         mode,
-        elapsed_ms,
     )
 
 
@@ -124,18 +119,10 @@ def _cmd_v(args) -> tuple[int, OutputRecord | None]:
     q = verlinde.VerlindeQuery(args.genus, args.rank, args.level)
     params = [("genus", args.genus), ("rank", args.rank), ("level", args.level)]
     if args.mode == "float":
-        with mpmath.workdps(17):
-            text = mpmath.nstr(verlinde.v_number_float(q), 15)
-        record = OutputRecord(
-            "v",
-            tuple((k, str(v)) for k, v in params),
-            ("result",),
-            ((text,),),
-            "float",
-            0,
-        )
-        return 0, record
-    return 0, _value_record("v", params, verlinde.v_number(q), args.mode)
+        value = verlinde.v_number_float(q)
+    else:
+        value = verlinde.v_number(q)
+    return 0, _value_record("v", params, value, args.mode)
 
 
 def _cmd_dim(args) -> tuple[int, OutputRecord | None]:
@@ -186,7 +173,6 @@ def _cmd_split(args) -> tuple[int, OutputRecord | None]:
         ("omega", "characters", "multiplicity", "rank_part"),
         tuple(rows),
         "exact",
-        0,
     )
     return 0, record
 
@@ -208,7 +194,6 @@ def _cmd_pgl(args) -> tuple[int, OutputRecord | None]:
         ("charsum", "coperiodic", "agree"),
         ((str(a), str(b), "true" if agree else "false"),),
         "exact",
-        0,
     )
     return (0 if agree else 2), record
 
@@ -227,7 +212,6 @@ def _cmd_fm(args) -> tuple[int, OutputRecord | None]:
         ("rank", "slope"),
         ((str(out.rank), str(out.slope)),),
         "exact",
-        0,
     )
     return 0, record
 
@@ -241,7 +225,6 @@ def _cmd_census(args) -> tuple[int, OutputRecord | None]:
         ("dimension", "weight", "count"),
         tuple((str(d), str(w), str(c)) for d, w, c in rows),
         "exact",
-        0,
     )
     return 0, record
 
@@ -501,25 +484,28 @@ IDENTITY_CASES: tuple[tuple[str, Callable[[RangeSpec], str | None]], ...] = (
 def _cmd_identities(args) -> tuple[int, OutputRecord | None]:
     ranges = parse_range_spec(args.range_spec) if args.range_spec else RangeSpec()
 
-    def run_case(case):
-        name, fn = case
+    failures = 0
+    for name, fn in IDENTITY_CASES:
         try:
             detail = fn(ranges)
         except (HypothesisError, ConsistencyError) as exc:
             detail = str(exc)
-        return name, detail
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        results = list(pool.map(run_case, IDENTITY_CASES))
-    failures = 0
-    for name, detail in results:
         if detail is None:
             print(f"ok {name}")
         else:
             failures += 1
             print(f"FAIL {name}: {detail}")
-    print(f"passed {len(results) - failures} of {len(results)}")
+    print(f"passed {len(IDENTITY_CASES) - failures} of {len(IDENTITY_CASES)}")
     return (0 if failures == 0 else 2), None
+
+
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a fraction with a nonzero denominator"
+        ) from None
 
 
 def _add_common(parser: argparse.ArgumentParser, mode: bool = False) -> None:
@@ -585,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fm", help="Fourier transform of a slope class")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=Fraction, required=True)
-    p.add_argument("--slope", type=Fraction, required=True)
+    p.add_argument("--rank", type=_fraction_arg, required=True)
+    p.add_argument("--slope", type=_fraction_arg, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_fm)
 
@@ -600,7 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="run the identity suite")
     p.add_argument("--range-spec", help="key=value file: g_max, n_max, h_list, d_list")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; the cases always run one after "
+        "another, so it changes neither the output nor the schedule",
+    )
     p.set_defaults(handler=_cmd_identities)
 
     return parser
@@ -626,14 +618,6 @@ def run(argv: list[str]) -> int:
         return 3
     elapsed_ms = int((time.monotonic() - start) * 1000)
     if record is not None:
-        record = OutputRecord(
-            record.command,
-            record.params,
-            record.columns,
-            record.rows,
-            record.mode,
-            elapsed_ms,
-        )
         print(render(record, args.format))
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return code

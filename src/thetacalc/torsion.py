@@ -101,7 +101,7 @@ class SymbolQuery:
 
     def __post_init__(self) -> None:
         if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+            raise HypothesisError(f"lam must be non-negative, got {self.lam}")
         if self.h < 1:
             raise HypothesisError(f"symbol modulus must be >= 1, got {self.h}")
         if self.g < 1:

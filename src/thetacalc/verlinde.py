@@ -13,19 +13,22 @@ The dimension of the space of level-k theta functions on the rank-r moduli
 space is r^g / n^g * v_g(r, k), a positive integer.
 
 Terms depend on a subset only through its cyclic difference multiset, so the
-sum is taken over necklace representatives weighted by orbit size.  Three
-evaluation paths produce the identical Rational:
+sum is taken over necklace representatives weighted by orbit size.  Two
+production paths produce v_g:
 
   * genus 1: every term is 1 and the prefactor exponent is 0, so
     v_1(r, k) = C(r+k, r);
-  * small instances: exact cyclotomic arithmetic over orbit representatives;
-  * large instances: the orbit sum is evaluated modulo several primes
-    p = 1 (mod n) using a root of unity in F_p and reconstructed by CRT.
-    The reconstruction is rigorous without assuming anything this library
-    is supposed to verify: prod_{d=1}^{n-1} (2 - zeta^d - zeta^{-d}) = n^2
-    makes n^2 / s_d an algebraic integer, so the sum times
-    D = n^{2(g-1)C(r,2)} is a plain integer, and |sum| is bounded through
-    4 sin^2(pi/n) >= 16/n^2.
+  * genus >= 2: the orbit sum is evaluated modulo several primes
+    p = 1 (mod n) using a root of unity in F_p and reconstructed by CRT
+    (`_v_modular`).  The reconstruction is rigorous without assuming
+    anything this library is supposed to verify:
+    prod_{d=1}^{n-1} (2 - zeta^d - zeta^{-d}) = n^2 makes n^2 / s_d an
+    algebraic integer, so the sum times D = n^{2(g-1)C(r,2)} is a plain
+    integer, and |sum| is bounded through 4 sin^2(pi/n) >= 16/n^2.
+
+`_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
+is the reference oracle that the tests and the identity suite compare the
+residue path against; production never calls it.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ from typing import Iterator
 import mpmath
 import numpy as np
 
-from .exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational, sine_square
-
-# Above this many subsets the exact cyclotomic path hands over to the
-# residue/CRT path.
-EXACT_SUBSET_LIMIT = 20_000
+from .exactnum import (
+    ConsistencyError,
+    CycNum,
+    HypothesisError,
+    extract_rational,
+    factorize,
+    sine_square,
+)
 
 _CHUNK = 1 << 15
 
@@ -195,31 +201,13 @@ def _primes_one_mod(n: int) -> Iterator[int]:
 
 def _root_of_order(n: int, p: int) -> int:
     # An element of exact multiplicative order n in F_p (requires n | p-1).
-    prime_divs = [q for q, _ in _factor_small(n)]
+    prime_divs = [q for q, _ in factorize(n)]
     e = (p - 1) // n
     for a in range(2, p):
         w = pow(a, e, p)
-        if w == 1:
-            continue
         if all(pow(w, n // q, p) != 1 for q in prime_divs):
             return w
     raise ArithmeticError(f"no element of order {n} mod {p}")
-
-
-def _factor_small(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _orbit_chunks(n: int, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -292,7 +280,7 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
 
 
 def _v_exact(n: int, r: int, g: int) -> Fraction:
-    """Orbit sum in exact cyclotomic arithmetic."""
+    """Orbit sum in exact cyclotomic arithmetic; reference oracle only."""
     base: dict[int, CycNum] = {
         d: sine_square(n, d) ** (1 - g) for d in range(1, n // 2 + 1)
     }
@@ -330,8 +318,6 @@ def _v_number_cached(g: int, r: int, k: int) -> Fraction:
     if g == 1:
         # Every subset term is 1 and the prefactor exponent is zero.
         return Fraction(math.comb(n, r))
-    if math.comb(n, r) <= EXACT_SUBSET_LIMIT:
-        return _v_exact(n, r, g)
     return _v_modular(n, r, g)
 
 

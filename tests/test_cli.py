@@ -157,6 +157,19 @@ class TestExitCodes:
         assert code == 3
         assert "bogus_key" in err
 
+    def test_zero_denominator_fraction_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "fm", "--genus", "2", "--rank", "3", "--slope", "1/0")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert "argument --slope" in err.splitlines()[-1]
+
+    def test_negative_lam_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "symbol", "--lam", "-1", "--h", "9", "--genus", "1")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["hypothesis violated: lam must be non-negative, got -1"]
+
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")
         assert "elapsed_ms" not in out

@@ -255,7 +255,11 @@ def test_orbit_reduction_matches_plain_enumeration():
 
 
 def test_exact_and_modular_paths_agree():
-    for n, r, g in [(9, 3, 2), (10, 4, 3), (11, 4, 2), (12, 5, 2), (8, 4, 5)]:
+    # n = 1 and n = r (rank 1 or level 0) exercise the trivial root of
+    # unity and the single full-set orbit.
+    cases = [(9, 3, 2), (10, 4, 3), (11, 4, 2), (12, 5, 2), (8, 4, 5)]
+    cases += [(1, 1, 2), (1, 1, 5), (2, 2, 3), (3, 3, 2)]
+    for n, r, g in cases:
         assert _v_exact(n, r, g) == _v_modular(n, r, g)
 
 
