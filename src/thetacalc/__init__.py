@@ -26,9 +26,6 @@ from .exactnum import (
     CycNum,
     HypothesisError,
     Rational,
-    cyc_add,
-    cyc_inv,
-    cyc_mul,
     cyclotomic_polynomial,
     extract_rational,
 )
@@ -104,9 +101,6 @@ __all__ = [
     "check_wirtinger_dims",
     "coperiod",
     "count_order",
-    "cyc_add",
-    "cyc_inv",
-    "cyc_mul",
     "cyclotomic_polynomial",
     "divisors",
     "euler_char",

@@ -18,6 +18,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -573,6 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--rank", type=_fraction_arg, required=True)
     p.add_argument("--slope", type=_fraction_arg, required=True)
+    # argparse takes a value for a negative number only when it looks like
+    # an integer or a decimal; "--slope -1/4" must read -1/4 as well.
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     _add_common(p)
     p.set_defaults(handler=_cmd_fm)
 

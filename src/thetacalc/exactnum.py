@@ -6,13 +6,17 @@ vector of length phi(n) over exact rationals, in the power basis
 Phi_n (irreducible) rather than x^n - 1 keeps the quotient a field, so
 elements can be inverted; negative powers are needed because the sine
 products carry the exponent 1 - g, which is negative for genus g >= 2.
+An inverse is the product of the other Galois conjugates divided by the
+norm, a rational number, so the field needs no arithmetic beyond its own
+multiplication and the automorphisms zeta -> zeta^t.
 
 The quantities of interest are the sine squares
 
     |2 sin(pi d / n)|^2 = 2 - zeta_n^d - zeta_n^{-d},
 
 so everything stays inside the conductor-n field; no half-angle roots of
-unity ever appear.
+unity ever appear.  Their powers come from one memoised function,
+sine_power, shared by every sum that needs them.
 
 A floating cross-check mode (embed) evaluates a CycNum at e^{2 pi i / n}
 with mpmath at a configurable precision.  It is never authoritative.
@@ -215,16 +219,21 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse via extended gcd with Phi_n."""
+        """Multiplicative inverse through the Galois norm.
+
+        With c the product of the conjugates sigma_t(a) over the units
+        t != 1 mod n, the norm N(a) = a * c is a nonzero rational, so
+        a^{-1} = c / N(a).  A norm that is not rational is a bug and
+        raises ConsistencyError.
+        """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, s = _poly_half_xgcd(list(self.coeffs), phi)
-        # Phi_n is irreducible over Q, so the gcd is a nonzero constant.
-        if len(g) != 1:
-            raise ConsistencyError("gcd with the cyclotomic polynomial is not constant")
-        inv_c = 1 / g[0]
-        return CycNum.from_poly(self.conductor, [c * inv_c for c in s])
+        n = self.conductor
+        cofactor = CycNum.from_rational(n, 1)
+        for t in range(2, n):
+            if math.gcd(t, n) == 1:
+                cofactor = cofactor * self.galois(t)
+        return cofactor * (1 / extract_rational(self * cofactor))
 
     def __pow__(self, exponent: int) -> CycNum:
         if exponent < 0:
@@ -284,74 +293,6 @@ class CycNum:
             return total
 
 
-def _poly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b):
-        c = a[-1] / lead
-        d = len(a) - len(b)
-        q[d] = c
-        for j in range(len(b)):
-            a[d + j] -= c * b[j]
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_half_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g mod b and g = gcd(a, b)."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _int_like_poly_mul(q, s1)
-        s0, s1 = s1, _poly_sub(s0, prod)
-    return r0, s0
-
-
-def _int_like_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_inv(a: CycNum) -> CycNum:
-    return a.inverse()
-
-
 def extract_rational(a: CycNum) -> Fraction:
     """The value of a rational CycNum as a Fraction.
 
@@ -374,3 +315,17 @@ def sine_square(n: int, d: int) -> CycNum:
     if d % n == 0:
         raise ValueError("angle is a multiple of pi; the sine vanishes")
     return CycNum.from_rational(n, 2) - CycNum.zeta(n, d) - CycNum.zeta(n, -d)
+
+
+@lru_cache(maxsize=None)
+def sine_power(n: int, d: int, e: int) -> CycNum:
+    """sine_square(n, d) ** e, memoised.
+
+    The sine-product sums raise the same few sine squares to the same few
+    (mostly negative) powers for every subset or orbit, so each power is
+    computed once per process, and all negative powers of one sine square
+    share a single inverse.
+    """
+    if e < -1:
+        return sine_power(n, d, -1) ** -e
+    return sine_square(n, d) ** e

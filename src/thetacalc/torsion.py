@@ -58,27 +58,8 @@ class TorsionPoint:
         return self.h // math.gcd(self.h, *self.coords)
 
 
-@dataclass(frozen=True)
-class CharacterLabel:
+class CharacterLabel(TorsionPoint):
     """A character of (Z/h)^{2g}, labeled by its own coordinate vector."""
-
-    h: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.h < 1:
-            raise ValueError(f"modulus must be positive, got {self.h}")
-        if len(self.coords) % 2 != 0 or not self.coords:
-            raise ValueError("coordinates come in 2g components")
-        if any(c < 0 or c >= self.h for c in self.coords):
-            raise ValueError(f"coordinates must lie in [0, {self.h})")
-
-    @property
-    def g(self) -> int:
-        return len(self.coords) // 2
-
-    def order(self) -> int:
-        return self.h // math.gcd(self.h, *self.coords)
 
     def pairing(self, alpha: TorsionPoint) -> int:
         """<xi, alpha> = sum xi_i alpha_i mod h."""

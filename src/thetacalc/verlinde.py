@@ -50,7 +50,7 @@ from .exactnum import (
     HypothesisError,
     extract_rational,
     factorize,
-    sine_square,
+    sine_power,
 )
 
 _CHUNK = 1 << 15
@@ -107,8 +107,8 @@ def _difference_multiset(members: tuple[int, ...], n: int) -> Counter[int]:
 def subset_term(S: SubsetS, g: int) -> CycNum:
     """One summand: prod over unordered pairs of (2 - zeta^d - zeta^{-d})^{1-g}.
 
-    Equal differences are grouped and exponentiated once.  For g = 1 the
-    term is 1 for every subset.
+    Equal differences are grouped, and each grouped power comes from the
+    memoised sine_power.  For g = 1 the term is 1 for every subset.
     """
     if g < 1:
         raise HypothesisError(f"genus must be >= 1, got {g}")
@@ -116,7 +116,7 @@ def subset_term(S: SubsetS, g: int) -> CycNum:
     if g == 1:
         return term
     for d, mult in sorted(_difference_multiset(S.members, S.n).items()):
-        term = term * sine_square(S.n, d) ** ((1 - g) * mult)
+        term = term * sine_power(S.n, d, (1 - g) * mult)
     return term
 
 
@@ -281,18 +281,11 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
 
 def _v_exact(n: int, r: int, g: int) -> Fraction:
     """Orbit sum in exact cyclotomic arithmetic; reference oracle only."""
-    base: dict[int, CycNum] = {
-        d: sine_square(n, d) ** (1 - g) for d in range(1, n // 2 + 1)
-    }
-    powers: dict[tuple[int, int], CycNum] = {}
     total = CycNum.from_rational(n, 0)
     for members, weight in necklace_orbits(n, r):
         term = CycNum.from_rational(n, weight)
         for d, mult in _difference_multiset(members, n).items():
-            key = (d, mult)
-            if key not in powers:
-                powers[key] = base[d] ** mult
-            term = term * powers[key]
+            term = term * sine_power(n, d, (1 - g) * mult)
         total = total + term
     return Fraction(n) ** (r * (g - 1)) * extract_rational(total)
 

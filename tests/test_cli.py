@@ -62,6 +62,11 @@ class TestWorkedExamples:
         assert code == 0
         assert out == "rank=25/3 slope=-3/5\n"
 
+    def test_fm_reads_a_space_separated_negative_fraction(self, capsys):
+        code, out, _ = run_cli(capsys, "fm", "--genus", "2", "--rank", "3", "--slope", "-1/4")
+        assert code == 0
+        assert out == "rank=3/16 slope=4\n"
+
     def test_census_rows(self, capsys):
         code, out, _ = run_cli(capsys, "heisenberg", "census", "--m", "3", "--genus", "1")
         assert code == 0

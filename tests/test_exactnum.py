@@ -7,20 +7,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacalc import exactnum
 from thetacalc.exactnum import (
     ConsistencyError,
     CycNum,
-    cyc_add,
-    cyc_inv,
-    cyc_mul,
     cyclotomic_polynomial,
     euler_phi,
     extract_rational,
     factorize,
+    sine_power,
     sine_square,
 )
 
@@ -63,12 +61,12 @@ def test_factorize_rejects_nonpositive():
 
 def test_zeta4_squared_is_minus_one():
     i = CycNum.zeta(4)
-    assert cyc_mul(i, i) == CycNum.from_rational(4, -1)
+    assert i * i == CycNum.from_rational(4, -1)
 
 
 def test_inverse_of_rational_two():
     two = CycNum.from_rational(5, 2)
-    assert cyc_inv(two) == CycNum.from_rational(5, Fraction(1, 2))
+    assert two.inverse() == CycNum.from_rational(5, Fraction(1, 2))
 
 
 def test_sine_square_of_conductor_three_is_rational_three():
@@ -76,7 +74,7 @@ def test_sine_square_of_conductor_three_is_rational_three():
     val = sine_square(3, 1)
     assert extract_rational(val) == 3
     one = CycNum.from_rational(3, 1)
-    assert cyc_mul(val, one) == CycNum.from_rational(3, 3)
+    assert val * one == CycNum.from_rational(3, 3)
 
 
 def test_extract_rational_accepts_constant():
@@ -94,25 +92,31 @@ def test_extract_rational_rejects_irrational_with_residual():
 def test_full_galois_orbit_of_zeta5_sums_to_minus_one():
     total = CycNum.from_rational(5, 0)
     for j in range(1, 5):
-        total = cyc_add(total, CycNum.zeta(5, j))
+        total = total + CycNum.zeta(5, j)
     assert extract_rational(total) == -1
 
 
 def test_conductor_mismatch_rejected():
     with pytest.raises(ValueError, match="conductor"):
-        cyc_add(CycNum.zeta(3), CycNum.zeta(4))
+        CycNum.zeta(3) + CycNum.zeta(4)
 
 
 def test_invert_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        cyc_inv(CycNum.from_rational(7, 0))
+        CycNum.from_rational(7, 0).inverse()
 
 
 def test_negative_powers():
     z = CycNum.zeta(7, 3)
     assert z ** -2 == CycNum.zeta(7, -6)
     s = sine_square(5, 1)
-    assert s ** -3 == cyc_inv(s) ** 3
+    assert s ** -3 == s.inverse() ** 3
+    for n in range(1, 31):
+        one = CycNum.from_rational(n, 1)
+        for d in range(1, n // 2 + 1):
+            for e in (1, 2, 3):
+                assert sine_power(n, d, -e) * sine_power(n, d, e) == one
+                assert sine_power(n, d, e) == sine_square(n, d) ** e
 
 
 def test_galois_conjugation_fixes_rationals():
@@ -132,20 +136,26 @@ _coeff = st.fractions(
 )
 
 
+def _cycnums(n: int) -> st.SearchStrategy[CycNum]:
+    coeffs = st.lists(_coeff, min_size=euler_phi(n), max_size=euler_phi(n))
+    return coeffs.map(lambda c: CycNum(n, tuple(c)))
+
+
 def _cycnum(n: int, data) -> CycNum:
-    coeffs = data.draw(
-        st.lists(_coeff, min_size=euler_phi(n), max_size=euler_phi(n))
-    )
-    return CycNum(n, tuple(coeffs))
+    return data.draw(_cycnums(n))
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=_cond, data=st.data())
-def test_multiplicative_inverse_axiom(n, data):
-    a = _cycnum(n, data)
+@given(a=_cond.flatmap(_cycnums))
+# phi(1) = phi(2) = 1: the inverse has no other conjugate to multiply.
+@example(a=CycNum(1, (Fraction(-7, 3),)))
+@example(a=CycNum(2, (Fraction(5, 6),)))
+# phi(29) = 28: the longest conjugate product in range.
+@example(a=CycNum(29, tuple(Fraction(j % 17 - 8, j % 6 + 1) for j in range(28))))
+def test_multiplicative_inverse_axiom(a):
     if a.is_zero():
         return
-    assert cyc_mul(a, cyc_inv(a)) == CycNum.from_rational(n, 1)
+    assert a * a.inverse() == CycNum.from_rational(a.conductor, 1)
 
 
 @settings(max_examples=60, deadline=None)
