@@ -273,7 +273,9 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
         for np in (np for np in range(f) if math.gcd(f, np) == 1) if f > 1 else [0]:
             sub = SchrodingerRep(f, np, g)
             base = [sub.character(h.reduce(f)).lift(m) for h in reps]
-            for twist in itertools.product(range(m), repeat=2 * g):
+            # The pulled-back character vanishes off x = y = 0 (mod f), where
+            # the twist by (u, v) depends only on (u, v) mod m/f.
+            for twist in itertools.product(range(m // f), repeat=2 * g):
                 u, v = twist[:g], twist[g:]
                 values = tuple(
                     chi
@@ -287,15 +289,12 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
                 dim = f**g
                 weight = _central_weight(values[central_index], dim, m)
                 rows.append((dim, weight, values))
-    unique: dict[tuple[CycNum, ...], tuple[int, int]] = {}
-    for dim, weight, values in rows:
-        unique[values] = (dim, weight)
-    if len(unique) != len(classes):
-        raise ConsistencyError(
-            f"found {len(unique)} distinct candidates but {len(classes)} classes"
-        )
+    if len({values for _, _, values in rows}) != len(rows):
+        raise ConsistencyError("two candidates have the same character")
+    if len(rows) != len(classes):
+        raise ConsistencyError(f"found {len(rows)} candidates but {len(classes)} classes")
     dim_square_sum = 0
-    for values, (dim, weight) in unique.items():
+    for dim, weight, values in rows:
         norm = CycNum.from_rational(m, 0)
         for (_, size), chi in zip(classes, values):
             norm = norm + chi * chi.conjugate() * size
@@ -309,7 +308,7 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
             f"squared dimensions sum to {dim_square_sum}, group order is {order}"
         )
     tally: dict[tuple[int, int], int] = {}
-    for dim, weight in unique.values():
+    for dim, weight, _ in rows:
         tally[(dim, weight)] = tally.get((dim, weight), 0) + 1
     if m > 1:
         for n in range(m):

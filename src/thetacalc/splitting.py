@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
 from .torsion import (
@@ -82,17 +81,13 @@ class TraceValue:
             )
 
 
-@lru_cache(maxsize=None)
-def _trace_cached(g: int, r: int, k: int, h: int, delta: int) -> Fraction:
-    vq = VerlindeQuery((g - 1) * delta + 1, h * r // delta, h * k // delta)
-    return Fraction(r, r + k) ** g * v_number(vq)
-
-
 def trace_of_torsion(q: SplitQuery, delta: int) -> TraceValue:
     """Trace of a torsion point of order exactly delta | h."""
     if delta < 1 or q.h % delta != 0:
         raise HypothesisError(f"{delta} does not divide {q.h}")
-    return TraceValue(_trace_cached(q.g, q.r, q.k, q.h, delta))
+    g, r, k, h = q.g, q.r, q.k, q.h
+    vq = VerlindeQuery((g - 1) * delta + 1, h * r // delta, h * k // delta)
+    return TraceValue(Fraction(r, r + k) ** g * v_number(vq))
 
 
 def multiplicity(q: SplitQuery, omega: int) -> int:

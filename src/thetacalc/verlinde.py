@@ -239,7 +239,12 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
     primes: list[int] = []
     modulus = 1
     while modulus <= 2 * bound + 1:
-        p = next(prime_iter)
+        p = next(prime_iter, None)
+        if p is None:
+            raise HypothesisError(
+                f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
+                f"a {bound.bit_length()}-bit value; n = r + k = {n} is too large"
+            )
         primes.append(p)
         modulus *= p
 

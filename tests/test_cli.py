@@ -88,6 +88,29 @@ class TestFormats:
         assert payload["params"] == {"genus": "2", "rank": "2", "level": "1"}
         assert payload["mode"] == "exact"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("v", "--genus", "2", "--rank", "2", "--level", "1"),
+            ("dim", "--genus", "3", "--rank", "1", "--level", "4"),
+            ("symbol", "--lam", "3", "--h", "9", "--genus", "1"),
+            ("trace", "--genus", "2", "--rank", "1", "--level", "1", "--h", "3", "--order", "3"),
+            ("split", "--genus", "1", "--rank", "1", "--level", "1", "--h", "3"),
+            ("pgl", "--genus", "1", "--rank", "3", "--level", "3", "--d", "3"),
+            ("fm", "--genus", "2", "--rank", "3", "--slope", "5/3"),
+            ("heisenberg", "census", "--m", "3", "--genus", "1"),
+        ],
+        ids=lambda argv: argv[1] if argv[0] == "heisenberg" else argv[0],
+    )
+    def test_csv_header_starts_with_the_flags_in_argv_order(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        flags = [a[2:] for a in argv if a.startswith("--")]
+        values = [b for a, b in zip(argv, argv[1:]) if a.startswith("--")]
+        header, first = (line.split(",") for line in out.splitlines()[:2])
+        assert header[: len(flags)] == flags
+        assert first[: len(values)] == values
+
     def test_all_formats_carry_the_same_exact_value(self, capsys):
         query = ["symbol", "--lam", "1", "--h", "3", "--genus", "1"]
         values = {}
@@ -174,6 +197,17 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["hypothesis violated: lam must be non-negative, got -1"]
+
+    def test_residue_primes_running_out_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "v", "--genus", "2", "--rank", "1", "--level", "3000000000",
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("hypothesis violated:")
+        assert "below 2^31" in line
 
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")
