@@ -18,13 +18,14 @@ production paths produce v_g:
 
   * genus 1: every term is 1 and the prefactor exponent is 0, so
     v_1(r, k) = C(r+k, r);
-  * genus >= 2: the orbit sum is evaluated modulo several primes
-    p = 1 (mod n) using a root of unity in F_p and reconstructed by CRT
-    (`_v_modular`).  The reconstruction is rigorous without assuming
-    anything this library is supposed to verify:
+  * genus >= 2: the sum, grouped by distinct difference histograms, is
+    evaluated modulo several primes p = 1 (mod n) using a root of unity in
+    F_p and reconstructed by CRT (`_v_modular`), rigorously and without
+    assuming anything this library is supposed to verify:
     prod_{d=1}^{n-1} (2 - zeta^d - zeta^{-d}) = n^2 makes n^2 / s_d an
     algebraic integer, so the sum times D = n^{2(g-1)C(r,2)} is a plain
-    integer, and |sum| is bounded through 4 sin^2(pi/n) >= 16/n^2.
+    integer, and the CRT modulus is sized from C(n, r) times the largest
+    (positive) term, in float64 log space plus two bits for float error.
 
 `_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
 is the reference oracle that the tests and the identity suite compare the
@@ -95,13 +96,7 @@ class SubsetS:
 def _difference_multiset(members: tuple[int, ...], n: int) -> Counter[int]:
     # Unordered pair differences folded into 1..n//2; the sine square for
     # d and n-d is the same number.
-    out: Counter[int] = Counter()
-    r = len(members)
-    for i in range(r):
-        for j in range(i + 1, r):
-            d = members[j] - members[i]
-            out[min(d, n - d)] += 1
-    return out
+    return Counter(min(t - s, n - t + s) for s, t in itertools.combinations(members, 2))
 
 
 def subset_term(S: SubsetS, g: int) -> CycNum:
@@ -120,64 +115,66 @@ def subset_term(S: SubsetS, g: int) -> CycNum:
     return term
 
 
+def _necklace_blocks(n: int, r: int, t: int = 1, frontier: tuple = ()) -> Iterator[tuple]:
+    # Necklace representatives (r >= 1) as (members, orbit sizes) blocks of at
+    # most _CHUNK rows.  A frontier row has fixed gaps w[1..t-1] (w[0] = 1 is a
+    # sentinel), its prenecklace period p and the sum still to place, rest;
+    # gap t ranges over [w[t-p], rest - (r-t)].
+    gaps, period, rest = frontier or (np.ones((1, r + 1), np.int64), np.array([1]), np.array([n]))
+    lo = gaps[np.arange(len(gaps)), t - period]
+    if t == r:
+        # The last gap is forced to absorb the rest.  Gap period q means
+        # the stabilizer has order r // q: the orbit has n q / r translates.
+        q = np.where(rest == lo, period, r)
+        keep = (rest >= lo) & (r % q == 0)
+        members, weights = np.cumsum(gaps[keep, :r], axis=1), n * q[keep] // r
+        for s in range(0, len(weights), _CHUNK):
+            yield members[s : s + _CHUNK], weights[s : s + _CHUNK]
+        return
+    count = np.maximum(rest - (r - t) - lo + 1, 0)
+    ends = np.cumsum(count)
+    first = ends - count
+    start = 0
+    while start < len(gaps):
+        # Expand, depth first, the next parents whose children fill one
+        # block (one parent at least), so memory stays per block.
+        stop = max(int(np.searchsorted(ends, first[start] + _CHUNK, "right")), start + 1)
+        parent = np.repeat(np.arange(start, stop), count[start:stop])
+        c = lo[parent] + np.arange(first[start], ends[stop - 1]) - first[parent]
+        child = gaps[parent]
+        child[:, t] = c
+        period_c = np.where(c == lo[parent], period[parent], t)
+        yield from _necklace_blocks(n, r, t + 1, (child, period_c, rest[parent] - c))
+        start = stop
+
+
 def necklace_orbits(n: int, r: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Orbit representatives of r-subsets of Z/n under translation.
 
     Yields (members, orbit_size) with members sorted in {1, ..., n} and
-    orbit_size the number of distinct translates.  Subsets correspond to
-    cyclic gap compositions of n into r positive parts; representatives are
-    the lexicographically least rotations, found with the classic
-    prenecklace extension recursion, which also reports the period.
+    orbit_size the number of distinct translates: the lexicographically
+    least rotations of the cyclic gap compositions, unpacked from the
+    blocks of the array prenecklace enumerator the residue path reads.
     """
     if r == 0:
         yield (), 1
         return
-    w = [1] * (r + 1)
-
-    def emit(p: int) -> tuple[tuple[int, ...], int]:
-        members = [1] * r
-        acc = 1
-        for i in range(1, r):
-            acc += w[i]
-            members[i] = acc
-        # Gap period p means the stabilizer has order r // p, so the
-        # orbit has n * p / r distinct translates.
-        return tuple(members), n * p // r
-
-    def rec(t: int, p: int, remaining: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if t == r:
-            # The last gap is forced to absorb the remaining sum.
-            if remaining >= w[t - p]:
-                w[t] = remaining
-                q = p if remaining == w[t - p] else t
-                if r % q == 0:
-                    yield emit(q)
-            return
-        lo = w[t - p]
-        hi = remaining - (r - t)
-        if lo > hi:
-            return
-        for c in range(lo, hi + 1):
-            w[t] = c
-            yield from rec(t + 1, p if c == w[t - p] else t, remaining - c)
-
-    w[0] = 1
-    yield from rec(1, 1, n)
+    for members, weights in _necklace_blocks(n, r):
+        yield from zip(map(tuple, members.tolist()), weights.tolist())
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3 * 10^24.
+    # Trial division, then Miller-Rabin with the bases 2, 3, 5, 7, which
+    # decide every n < 3 215 031 751, so every candidate below 2^31.
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
+    d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -210,78 +207,81 @@ def _root_of_order(n: int, p: int) -> int:
     raise ArithmeticError(f"no element of order {n} mod {p}")
 
 
-def _orbit_chunks(n: int, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    members = np.empty((_CHUNK, r), dtype=np.int64)
-    weights = np.empty(_CHUNK, dtype=np.int64)
-    fill = 0
-    for mem, wt in necklace_orbits(n, r):
-        members[fill] = mem
-        weights[fill] = wt
-        fill += 1
-        if fill == _CHUNK:
-            yield members, weights
-            members = np.empty((_CHUNK, r), dtype=np.int64)
-            weights = np.empty(_CHUNK, dtype=np.int64)
-            fill = 0
-    if fill:
-        yield members[:fill], weights[:fill]
+def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
+    # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
+    width = n // 2 + 1
+    idx_i, idx_j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # pairs i < j
+    blocks = []
+    for members, weights in _necklace_blocks(n, r):
+        delta = members[:, idx_j]
+        delta -= members[:, idx_i]
+        np.minimum(delta, n - delta, out=delta)
+        delta += width * np.arange(len(weights))[:, None]
+        hist = np.bincount(delta.ravel(), minlength=width * len(weights))
+        blocks.append((hist.reshape(-1, width).astype(np.min_scalar_type(r)), weights))
+    hist, weights = map(np.concatenate, zip(*blocks))
+    order = np.lexsort(hist.T[::-1])
+    hist, weights = hist[order], weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], (hist[1:] != hist[:-1]).any(axis=1))))
+    return hist[starts], np.add.reduceat(weights, starts)
+
+
+def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray) -> int:
+    """Bits b such that every modulus M >= 2^b exceeds 2 |sum * D| + 1."""
+    # Every term is positive and the orbit sizes add up to C(n, r), so
+    # log2 sum <= log2 C(n, r) + (g-1) max_h sum_d h_d c_d with
+    # c_d = -log2 4 sin^2(pi d / n); D = n^{2e} with e = (g-1) C(r, 2).
+    cost = [-math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in range(1, n // 2 + 1)]
+    e = (g - 1) * (r * (r - 1) // 2)
+    top = (g - 1) * float((hist * np.array([0.0] + cost)).sum(axis=1).max())
+    log_bound = math.log2(math.comb(n, r)) + top + 2 * e * math.log2(n)
+    # Float error: each c_d is off by under 2^-47 (1 + |c_d|) (sin is well
+    # conditioned on (0, pi/2]), |c_d| <= 2 log2 n and a row has n/2 + 1 terms,
+    # so log_bound is off by under e (n + 2)(1 + 2 log2 n) 2^-47: under 0.01
+    # bit unless the call refuses, as log_bound >= 2e (log2 n - 1) and the
+    # primes below 2^31 give under 2^36 / n bits (n <= 2 is exact).  One
+    # margin bit covers it, one more the factor 2 and the + 1.
+    return math.ceil(log_bound) + 2
+
+
+@lru_cache(maxsize=None)
+def _crt_primes(n: int, bits: int) -> tuple[int, ...]:
+    # The fewest primes p = 1 (mod n) whose product reaches 2^bits.
+    primes, modulus = [], 1
+    for p in _primes_one_mod(n):
+        primes.append(p)
+        modulus *= p
+        if modulus.bit_length() > bits:
+            return tuple(primes)
+    raise HypothesisError(
+        f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
+        f"the value; n = r + k = {n} is too large"
+    )
 
 
 def _v_modular(n: int, r: int, g: int) -> Fraction:
     """Orbit sum via residues mod primes p = 1 (mod n), reconstructed by CRT."""
-    pairs = r * (r - 1) // 2
-    exponent = (g - 1) * pairs
-    denom_clear = n ** (2 * exponent)  # sum * denom_clear is an integer
-    # |sum| <= C(n,r) * (n^2/16)^{exponent}, from 4 sin^2(pi/n) >= 16/n^2.
-    mag = Fraction(n * n, 16) ** exponent
-    bound = math.comb(n, r) * (mag.numerator // mag.denominator + 1) * denom_clear
-    prime_iter = _primes_one_mod(n)
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= 2 * bound + 1:
-        p = next(prime_iter, None)
-        if p is None:
-            raise HypothesisError(
-                f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
-                f"a {bound.bit_length()}-bit value; n = r + k = {n} is too large"
-            )
-        primes.append(p)
-        modulus *= p
-
-    tables = []
+    _crt_primes(n, 0)  # refuse at once when there is no such prime at all (memoised per n)
+    hist, weights = _distinct_histograms(n, r)
+    primes = _crt_primes(n, _modulus_bits(n, r, g, hist))
+    denom_clear = n ** (2 * (g - 1) * (r * (r - 1) // 2))  # sum * denom_clear is an integer
+    total, mod = 0, 1
     for p in primes:
         w = _root_of_order(n, p)
-        lut = np.zeros(n // 2 + 1, dtype=np.int64)
+        acc = weights % p * (denom_clear % p) % p  # residues of sum * denom_clear
         for d in range(1, n // 2 + 1):
-            s_d = (2 - pow(w, d, p) - pow(w, n - d, p)) % p
-            lut[d] = pow(s_d, (1 - g) % (p - 1), p)
-        tables.append(lut)
-
-    idx_i, idx_j = np.triu_indices(r, 1)
-    residues = [0] * len(primes)
-    for members, weights in _orbit_chunks(n, r):
-        delta = members[:, idx_j] - members[:, idx_i]
-        folded = np.minimum(delta, n - delta)
-        for t, (p, lut) in enumerate(zip(primes, tables)):
-            factors = lut[folded]
-            acc = weights % p
-            for col in range(factors.shape[1]):
-                acc = acc * factors[:, col] % p
-            residues[t] = (residues[t] + int(acc.sum() % p)) % p
-
-    # The residues represent the sum itself; rescale to the integer
-    # sum * denom_clear before recombining.
-    total, mod = 0, 1
-    for p, res in zip(primes, residues):
-        res = res * (denom_clear % p) % p
-        inv = pow(mod % p, -1, p)
-        total += mod * ((res - total) * inv % p)
+            # Gather from T[h] = s_d^{(1-g) h} mod p, one column per d.
+            base = pow((2 - pow(w, d, p) - pow(w, n - d, p)) % p, (1 - g) % (p - 1), p)
+            table = np.array([pow(base, h, p) for h in range(r + 1)])
+            acc = acc * table.take(hist[:, d]) % p
+        # CRT (Garner): fold the residue mod p into total mod the product.
+        total += mod * ((int(acc.sum()) - total) * pow(mod % p, -1, p) % p)
         mod *= p
     total %= mod
     if total > mod // 2:
         total -= mod
-    scaled = Fraction(total, denom_clear)
-    return Fraction(n) ** (r * (g - 1)) * scaled
+    return Fraction(n) ** (r * (g - 1)) * Fraction(total, denom_clear)
 
 
 def _v_exact(n: int, r: int, g: int) -> Fraction:

@@ -10,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetacalc import verlinde
 from thetacalc.exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
 from thetacalc.verlinde import (
     SubsetS,
     VerlindeQuery,
+    _crt_primes,
+    _distinct_histograms,
+    _is_prime,
+    _modulus_bits,
+    _primes_one_mod,
     _v_exact,
     _v_float,
     _v_modular,
@@ -226,8 +232,8 @@ def test_subset_term_translation_invariance_random(data):
     assert subset_term(SubsetS(n, members), g) == subset_term(SubsetS(n, shifted), g)
 
 
-def test_necklace_orbits_partition_all_subsets():
-    for n in range(1, 13):
+def _assert_orbits_partition_subsets(n_max):
+    for n in range(1, n_max + 1):
         for r in range(0, n + 1):
             seen = set()
             total = 0
@@ -244,6 +250,10 @@ def test_necklace_orbits_partition_all_subsets():
             assert seen == {S.members for S in all_subsets(n, r)}
 
 
+def test_necklace_orbits_partition_all_subsets():
+    _assert_orbits_partition_subsets(12)
+
+
 def test_orbit_reduction_matches_plain_enumeration():
     # The machinery behind the g = 1 binomial shortcut, tested honestly:
     # full enumeration, orbit-weighted enumeration, and C(n, r) all agree.
@@ -254,13 +264,75 @@ def test_orbit_reduction_matches_plain_enumeration():
             assert plain == weighted == math.comb(n, r)
 
 
+EXACT_MODULAR_CASES = [(9, 3, 2), (10, 4, 3), (11, 4, 2), (12, 5, 2), (8, 4, 5)]
+# n = 1 and n = r (rank 1 or level 0) exercise the trivial root of unity
+# and the single full-set orbit.
+EXACT_MODULAR_CASES += [(1, 1, 2), (1, 1, 5), (2, 2, 3), (3, 3, 2)]
+# A prime and a composite conductor where mirror-image orbits share a
+# difference histogram, so merged rows meet the oracle.
+EXACT_MODULAR_CASES += [(13, 6, 3), (14, 7, 2)]
+
+
 def test_exact_and_modular_paths_agree():
-    # n = 1 and n = r (rank 1 or level 0) exercise the trivial root of
-    # unity and the single full-set orbit.
-    cases = [(9, 3, 2), (10, 4, 3), (11, 4, 2), (12, 5, 2), (8, 4, 5)]
-    cases += [(1, 1, 2), (1, 1, 5), (2, 2, 3), (3, 3, 2)]
-    for n, r, g in cases:
+    for n, r, g in EXACT_MODULAR_CASES:
         assert _v_exact(n, r, g) == _v_modular(n, r, g)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
+    # Every case above fits in one block of the default size; tiny blocks
+    # make the enumerator expand in pieces and the histogram merge span
+    # blocks.
+    monkeypatch.setattr(verlinde, "_CHUNK", chunk)
+    for members, _ in verlinde._necklace_blocks(10, 4):
+        assert len(members) <= chunk
+    _assert_orbits_partition_subsets(10)
+    for n, r, g in EXACT_MODULAR_CASES:
+        if n <= 10:
+            assert _v_exact(n, r, g) == _v_modular(n, r, g)
+
+
+def test_mirror_orbits_share_histograms():
+    for n, r in [(13, 6), (14, 7)]:
+        hist, weights = _distinct_histograms(n, r)
+        assert len(hist) < sum(1 for _ in necklace_orbits(n, r))
+        assert int(weights.sum()) == math.comb(n, r)
+
+
+def test_prime_test_agrees_with_trial_division():
+    def by_division(m):
+        return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
+
+    # Strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5, then primes
+    # and composites just below 2^31, where the candidates lie.
+    tricky = [2047, 1373653, 25326001, 2**31 - 1, 2**31 - 3, 2**31 - 19, 2**31 - 61]
+    for m in list(range(-1, 5000)) + tricky:
+        assert _is_prime(m) == by_division(m), m
+
+
+def test_crt_modulus_covers_the_value_and_beats_the_worst_case():
+    for g in range(1, 5):
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                hist, _ = _distinct_histograms(n, r)
+                modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist)))
+                e = (g - 1) * math.comb(r, 2)
+                scaled = _v_exact(n, r, g) / Fraction(n) ** (r * (g - 1)) * n ** (2 * e)
+                assert scaled.denominator == 1
+                assert modulus > 2 * abs(scaled) + 1, (g, n, r)
+    # The worst-case bound it replaces: |sum| <= C(n, r) (n^2/16)^e, from
+    # 4 sin^2(pi/n) >= 16/n^2.
+    n, r, g = 25, 9, 2
+    e = (g - 1) * math.comb(r, 2)
+    mag = Fraction(n * n, 16) ** e
+    bound = math.comb(n, r) * (mag.numerator // mag.denominator + 1) * n ** (2 * e)
+    old, modulus = 0, 1
+    for p in _primes_one_mod(n):
+        if modulus > 2 * bound + 1:
+            break
+        old, modulus = old + 1, modulus * p
+    hist, _ = _distinct_histograms(n, r)
+    assert len(_crt_primes(n, _modulus_bits(n, r, g, hist))) < old
 
 
 def test_paths_agree_with_plain_subset_sum():
