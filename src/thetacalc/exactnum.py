@@ -1,9 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A CycNum is an element of Q[x]/(Phi_n(x)) stored as a dense coefficient
-vector of length phi(n) over exact rationals, in the power basis
-1, zeta, ..., zeta^{phi(n)-1}.  Working modulo the cyclotomic polynomial
-Phi_n (irreducible) rather than x^n - 1 keeps the quotient a field, so
+A CycNum is an element of Q[x]/(Phi_n(x)) stored as phi(n) Fraction
+coefficients in the power basis 1, zeta, ..., zeta^{phi(n)-1}.  Products
+and reductions clear denominators and run on integer numerators over one
+common denominator, dividing by the monic Phi_n.  Working modulo Phi_n
+(irreducible) rather than x^n - 1 keeps the quotient a field, so
 elements can be inverted; negative powers are needed because the sine
 products carry the exponent 1 - g, which is negative for genus g >= 2.
 An inverse is the product of the other Galois conjugates divided by the
@@ -25,6 +26,7 @@ with mpmath at a configurable precision.  It is never authoritative.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,7 +84,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _int_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -91,20 +93,20 @@ def _int_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _int_poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    # Exact division of integer polynomials; den must be monic and divide num.
-    num_l = list(num)
+def _int_poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    # Quotient and remainder of integer polynomials; den must be monic.
+    # Only den's nonzero lower coefficients touch the running remainder.
+    work = list(num)
     d = len(den) - 1
-    q = [0] * (len(num) - d)
-    for i in range(len(q) - 1, -1, -1):
-        c = num_l[i + d]
-        q[i] = c
+    q = [0] * (len(work) - d)
+    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
+    for i in range(len(work) - 1, d - 1, -1):
+        c = work[i]
         if c:
-            for j, dj in enumerate(den):
-                num_l[i + j] -= c * dj
-    if any(num_l):
-        raise ArithmeticError("division was not exact")
-    return tuple(q)
+            q[i - d] = c
+            for j, dj in terms:
+                work[i - d + j] -= c * dj
+    return q, work[:d]
 
 
 @lru_cache(maxsize=None)
@@ -126,24 +128,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_div_exact(num, cyclotomic_polynomial(d))
-    return num
+            num, rem = _int_poly_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
+    return tuple(num)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    # Reduce an arbitrary-degree polynomial in zeta_n modulo Phi_n and pad
-    # to length phi(n).  Phi_n is monic, so this is exact.
+def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    # Integer numerators over the least common denominator.
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduce_mod_phi(ints: Sequence[int], den: int, n: int) -> tuple[Fraction, ...]:
+    # ints / den, a polynomial in zeta_n of any degree, reduced modulo the
+    # monic Phi_n on the integer numerators and padded to length phi(n).
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j in range(deg + 1):
-                work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(Fraction(c) for c in work)
+    rem = _int_poly_divmod(ints, phi)[1]
+    rem += [0] * (len(phi) - 1 - len(rem))
+    return tuple(Fraction(c, den) for c in rem)
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ class CycNum:
 
     @classmethod
     def from_poly(cls, n: int, coeffs: list[Fraction]) -> CycNum:
-        return cls(n, _reduce_mod_phi(coeffs, n))
+        return cls(n, _reduce_mod_phi(*_clear_denominators(coeffs), n))
 
     @classmethod
     def from_rational(cls, n: int, value: Fraction | int) -> CycNum:
@@ -208,13 +211,9 @@ class CycNum:
             q = Fraction(other)
             return CycNum(self.conductor, tuple(a * q for a in self.coeffs))
         self._check_same_field(other)
-        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycNum.from_poly(self.conductor, prod)
+        a, da = _clear_denominators(self.coeffs)
+        b, db = _clear_denominators(other.coeffs)
+        return CycNum(self.conductor, _reduce_mod_phi(_int_poly_mul(a, b), da * db, self.conductor))
 
     __rmul__ = __mul__
 

@@ -44,11 +44,11 @@ class TorsionPoint:
 
     def __post_init__(self) -> None:
         if self.h < 1:
-            raise ValueError(f"modulus must be positive, got {self.h}")
+            raise HypothesisError(f"modulus must be positive, got {self.h}")
         if len(self.coords) % 2 != 0 or not self.coords:
-            raise ValueError("coordinates come in 2g components")
+            raise HypothesisError("coordinates come in 2g components")
         if any(c < 0 or c >= self.h for c in self.coords):
-            raise ValueError(f"coordinates must lie in [0, {self.h})")
+            raise HypothesisError(f"coordinates must lie in [0, {self.h})")
 
     @property
     def g(self) -> int:
@@ -64,7 +64,7 @@ class CharacterLabel(TorsionPoint):
     def pairing(self, alpha: TorsionPoint) -> int:
         """<xi, alpha> = sum xi_i alpha_i mod h."""
         if alpha.h != self.h or len(alpha.coords) != len(self.coords):
-            raise ValueError("character and point live on different groups")
+            raise HypothesisError("character and point live on different groups")
         return sum(x * a for x, a in zip(self.coords, alpha.coords)) % self.h
 
     def value_at(self, alpha: TorsionPoint) -> CycNum:

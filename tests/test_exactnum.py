@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import math
 from fractions import Fraction
 
 import mpmath
@@ -45,13 +46,29 @@ def test_cyclotomic_polynomial_degree_is_phi():
 
 def test_cyclotomic_product_recovers_x_n_minus_1():
     # prod_{d | n} Phi_d = x^n - 1.
-    for n in (6, 12, 30):
+    for n in (6, 12, 30, 105):
         prod = (1,)
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = exactnum._int_poly_mul(prod, cyclotomic_polynomial(d))
         expected = tuple([-1] + [0] * (n - 1) + [1])
         assert prod == expected
+
+
+def test_conductor_105_reduces_by_a_coefficient_beyond_signs():
+    # Phi_105 is the first cyclotomic polynomial with a coefficient
+    # outside {-1, 0, 1}; every reduction below divides by it.
+    n = 105
+    assert min(cyclotomic_polynomial(n)) == -2
+    grid = range(-n, 2 * n, 11)
+    for a in grid:
+        for b in grid:
+            assert CycNum.zeta(n, a) * CycNum.zeta(n, b) == CycNum.zeta(n, a + b)
+    roots = [CycNum.zeta(n, k) for k in range(n)]
+    assert sum(roots, CycNum.from_rational(n, 0)).is_zero()
+    primitive = [z for k, z in enumerate(roots) if math.gcd(k, n) == 1]
+    # The primitive roots sum to the Moebius value mu(105) = -1.
+    assert extract_rational(sum(primitive, CycNum.from_rational(n, 0))) == -1
 
 
 def test_factorize_rejects_nonpositive():

@@ -152,11 +152,11 @@ def test_sum_depends_only_on_character_order():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError):
         TorsionPoint(5, (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError):
         TorsionPoint(5, (5, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError):
         CharacterLabel(5, ())
     with pytest.raises(HypothesisError):
         character_order_sum(CharacterLabel(9, (1, 0)), 2)
