@@ -110,8 +110,7 @@ def _record(args, columns, rows, mode="exact") -> OutputRecord:
 
 def _cmd_v(args) -> tuple[int, OutputRecord | None]:
     q = verlinde.VerlindeQuery(args.genus, args.rank, args.level)
-    evaluate = verlinde.v_number_float if args.mode == "float" else verlinde.v_number
-    return 0, _record(args, ("result",), [(evaluate(q),)], args.mode)
+    return 0, _record(args, ("result",), [(verlinde.v_number(q),)], args.mode)
 
 
 def _cmd_dim(args) -> tuple[int, OutputRecord | None]:

@@ -1,15 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A CycNum is an element of Q[x]/(Phi_n(x)) stored as phi(n) Fraction
-coefficients in the power basis 1, zeta, ..., zeta^{phi(n)-1}.  Products
-and reductions clear denominators and run on integer numerators over one
-common denominator, dividing by the monic Phi_n.  Working modulo Phi_n
-(irreducible) rather than x^n - 1 keeps the quotient a field, so
-elements can be inverted; negative powers are needed because the sine
-products carry the exponent 1 - g, which is negative for genus g >= 2.
-An inverse is the product of the other Galois conjugates divided by the
-norm, a rational number, so the field needs no arithmetic beyond its own
-multiplication and the automorphisms zeta -> zeta^t.
+A CycNum is an element of Q[x]/(Phi_n(x)) stored as phi(n) integer
+numerators over one positive denominator, in the power basis 1, zeta,
+..., zeta^{phi(n)-1}, with their gcd divided out, so equal elements have
+equal fields.  Every operation runs on these integers; Fractions appear
+only at the boundary: constructor input, coeffs, extract_rational and
+scalar coercion.  Working modulo the irreducible Phi_n rather than
+x^n - 1 keeps the quotient a field, so elements can be inverted (through
+the Galois norm, see CycNum.inverse); negative powers are needed because
+the sine products carry the exponent 1 - g, negative for genus g >= 2.
 
 The quantities of interest are the sine squares
 
@@ -94,10 +93,10 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def _int_poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    # Quotient and remainder of integer polynomials; den must be monic.
+    # Quotient and remainder (len(den) - 1 terms); den must be monic.
     # Only den's nonzero lower coefficients touch the running remainder.
-    work = list(num)
     d = len(den) - 1
+    work = list(num) + [0] * (d - len(num))
     q = [0] * (len(work) - d)
     terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
     for i in range(len(work) - 1, d - 1, -1):
@@ -134,71 +133,78 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    # Integer numerators over the least common denominator.
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _reduce_mod_phi(ints: Sequence[int], den: int, n: int) -> tuple[Fraction, ...]:
-    # ints / den, a polynomial in zeta_n of any degree, reduced modulo the
-    # monic Phi_n on the integer numerators and padded to length phi(n).
-    phi = cyclotomic_polynomial(n)
-    rem = _int_poly_divmod(ints, phi)[1]
-    rem += [0] * (len(phi) - 1 - len(rem))
-    return tuple(Fraction(c, den) for c in rem)
-
-
 @dataclass(frozen=True)
 class CycNum:
-    """An element of Q(zeta_n), coefficients in the basis 1..zeta^{phi(n)-1}."""
+    """An element of Q(zeta_n) with coordinates nums[j] / den.
+
+    >>> CycNum(3, (Fraction(1, 2), Fraction(-3, 4)))
+    CycNum(conductor=3, nums=(2, -3), den=4)
+    """
 
     conductor: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
         if self.conductor < 1:
             raise ValueError(f"conductor must be positive, got {self.conductor}")
-        if len(self.coeffs) != euler_phi(self.conductor):
+        if len(self.nums) != euler_phi(self.conductor):
             raise ValueError(
                 f"need {euler_phi(self.conductor)} coefficients for conductor "
-                f"{self.conductor}, got {len(self.coeffs)}"
+                f"{self.conductor}, got {len(self.nums)}"
             )
+        if not isinstance(self.den, int) or self.den < 1:
+            raise ValueError(f"denominator must be a positive integer, got {self.den}")
+        nums, den = self.nums, self.den
+        if not all(type(c) is int for c in nums):
+            if not all(isinstance(c, (int, Fraction)) for c in nums):
+                raise ValueError(f"coefficients must be int or Fraction, got {nums}")
+            scale = math.lcm(*[c.denominator for c in nums])
+            nums = [c.numerator * (scale // c.denominator) for c in nums]
+            den *= scale
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple([c // g for c in nums]))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @classmethod
-    def from_poly(cls, n: int, coeffs: list[Fraction]) -> CycNum:
-        return cls(n, _reduce_mod_phi(*_clear_denominators(coeffs), n))
+    def from_poly(cls, n: int, ints: Sequence[int], den: int = 1) -> CycNum:
+        """ints / den, a polynomial in zeta_n of any degree, reduced mod Phi_n."""
+        rem = _int_poly_divmod(ints, cyclotomic_polynomial(n))[1]
+        return cls(n, tuple(rem), den)
 
     @classmethod
     def from_rational(cls, n: int, value: Fraction | int) -> CycNum:
-        return cls.from_poly(n, [Fraction(value)])
+        q = Fraction(value)
+        return cls(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> CycNum:
         """zeta_n^power, any integer power."""
-        power %= n
-        return cls.from_poly(n, [Fraction(0)] * power + [Fraction(1)])
+        return cls.from_poly(n, [0] * (power % n) + [1])
 
-    def _check_same_field(self, other: CycNum) -> None:
+    def _coerce(self, other: CycNum | Fraction | int) -> CycNum:
+        if not isinstance(other, CycNum):
+            return CycNum.from_rational(self.conductor, other)
         if self.conductor != other.conductor:
             raise ValueError(
                 f"conductor mismatch: {self.conductor} vs {other.conductor}"
             )
-
-    def _coerce(self, other: CycNum | Fraction | int) -> CycNum:
-        if isinstance(other, CycNum):
-            self._check_same_field(other)
-            return other
-        return CycNum.from_rational(self.conductor, other)
+        return other
 
     def __add__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)
-        return CycNum(self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        nums = tuple([a * o.den + b * self.den for a, b in zip(self.nums, o.nums)])
+        return CycNum(self.conductor, nums, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.conductor, tuple(-a for a in self.coeffs))
+        return CycNum(self.conductor, tuple([-a for a in self.nums]), self.den)
 
     def __sub__(self, other: CycNum | Fraction | int) -> CycNum:
         return self + (-self._coerce(other))
@@ -207,13 +213,12 @@ class CycNum:
         return (-self) + other
 
     def __mul__(self, other: CycNum | Fraction | int) -> CycNum:
-        if not isinstance(other, CycNum):
-            q = Fraction(other)
-            return CycNum(self.conductor, tuple(a * q for a in self.coeffs))
-        self._check_same_field(other)
-        a, da = _clear_denominators(self.coeffs)
-        b, db = _clear_denominators(other.coeffs)
-        return CycNum(self.conductor, _reduce_mod_phi(_int_poly_mul(a, b), da * db, self.conductor))
+        o = self._coerce(other)
+        if o.is_rational():
+            nums = tuple([a * o.nums[0] for a in self.nums])
+            return CycNum(self.conductor, nums, self.den * o.den)
+        product = _int_poly_mul(self.nums, o.nums)
+        return CycNum.from_poly(self.conductor, product, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -228,43 +233,44 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
         n = self.conductor
-        cofactor = CycNum.from_rational(n, 1)
+        cofactor = CycNum.zeta(n, 0)
         for t in range(2, n):
             if math.gcd(t, n) == 1:
                 cofactor = cofactor * self.galois(t)
-        return cofactor * (1 / extract_rational(self * cofactor))
+        norm = extract_rational(self * cofactor)
+        inverse = CycNum(n, cofactor.nums, cofactor.den * abs(norm.numerator))
+        return inverse * (norm.denominator if norm > 0 else -norm.denominator)
 
     def __pow__(self, exponent: int) -> CycNum:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycNum.from_rational(self.conductor, 1)
+        result = CycNum.zeta(self.conductor, 0)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     def __truediv__(self, other: CycNum | Fraction | int) -> CycNum:
         return self * self._coerce(other).inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def galois(self, t: int) -> CycNum:
         """Image under zeta -> zeta^t; t must be a unit mod the conductor."""
         n = self.conductor
         if math.gcd(t, n) != 1:
             raise ValueError(f"{t} is not a unit mod {n}")
-        out = [Fraction(0)] * n
-        for j, c in enumerate(self.coeffs):
+        out = [0] * n
+        for j, c in enumerate(self.nums):
             out[(j * t) % n] += c
-        return CycNum.from_poly(n, out)
+        return CycNum.from_poly(n, out, self.den)
 
     def conjugate(self) -> CycNum:
         """Complex conjugation, zeta -> zeta^{-1}."""
@@ -276,20 +282,15 @@ class CycNum:
         if new_conductor % n != 0:
             raise ValueError(f"{new_conductor} is not a multiple of {n}")
         step = new_conductor // n
-        out = [Fraction(0)] * (len(self.coeffs) * step - step + 1 or 1)
-        for j, c in enumerate(self.coeffs):
-            out[j * step] += c
-        return CycNum.from_poly(new_conductor, out)
+        out = [0] * (len(self.nums) * step)
+        out[::step] = self.nums
+        return CycNum.from_poly(new_conductor, out, self.den)
 
     def embed(self, prec_bits: int = DEFAULT_EMBED_PREC) -> "mpmath.mpc":
         """Numeric value at zeta_n = e^{2 pi i / n}; cross-check only."""
         with mpmath.workprec(prec_bits):
             z = mpmath.exp(2j * mpmath.pi / self.conductor)
-            total = mpmath.mpc(0)
-            for j in range(len(self.coeffs) - 1, -1, -1):
-                c = self.coeffs[j]
-                total = total * z + mpmath.mpf(c.numerator) / c.denominator
-            return total
+            return mpmath.polyval(self.nums[::-1], z) / self.den
 
 
 def extract_rational(a: CycNum) -> Fraction:
@@ -299,14 +300,13 @@ def extract_rational(a: CycNum) -> Fraction:
     library computes are provably rational), so the error carries the
     largest residual coefficient.
     """
-    residual = [abs(c) for c in a.coeffs[1:]]
-    if any(residual):
-        worst = max(residual)
+    if not a.is_rational():
+        worst = max(abs(c) for c in a.nums[1:])
         raise ConsistencyError(
-            f"expected a rational value; max residual coefficient {worst} "
-            f"(~{float(worst):.3g}) at conductor {a.conductor}"
+            f"expected a rational value; max residual coefficient {worst}/{a.den} "
+            f"(~{worst / a.den:.3g}) at conductor {a.conductor}"
         )
-    return a.coeffs[0]
+    return Fraction(a.nums[0], a.den)
 
 
 def sine_square(n: int, d: int) -> CycNum:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from thetacalc import cli
+from thetacalc import cli, verlinde
 from thetacalc.exactnum import HypothesisError
 
 
@@ -139,12 +139,22 @@ class TestFormats:
         assert exact == "-1/9\n"
         assert approx.startswith("-0.1111111")
 
-    def test_float_mode_on_v_uses_the_numeric_evaluator(self, capsys):
+    def test_float_mode_on_v_rounds_the_exact_value(self, capsys, monkeypatch):
         _, out, _ = run_cli(
             capsys, "v", "--genus", "2", "--rank", "2", "--level", "1",
             "--mode", "float",
         )
         assert out == "9.0\n"
+
+        def oracle_only(*args, **kwargs):
+            raise AssertionError("the float oracle ran")
+
+        monkeypatch.setattr(verlinde, "_v_float", oracle_only)
+        code, out, _ = run_cli(
+            capsys, "v", "--genus", "2", "--rank", "2", "--level", "1",
+            "--mode", "float",
+        )
+        assert (code, out) == (0, "9.0\n")
 
 
 class TestExitCodes:

@@ -94,6 +94,23 @@ def test_sine_square_of_conductor_three_is_rational_three():
     assert val * one == CycNum.from_rational(3, 3)
 
 
+def test_stored_form_is_reduced_over_one_denominator():
+    a = CycNum(3, (Fraction(2, 4), Fraction(1, 2)))
+    assert (a.nums, a.den) == ((1, 1), 2)
+    assert a.coeffs == (Fraction(1, 2), Fraction(1, 2))
+    zero = CycNum.from_rational(7, 0)
+    assert (zero.nums, zero.den) == ((0,) * 6, 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3, (0.5, 0)), (3, ("1", 0)), (3, (1, 0), 0), (3, (1, 0), -2), (3, (1, 0), 1.0)],
+)
+def test_constructor_rejects_non_rational_entries_and_bad_denominators(args):
+    with pytest.raises(ValueError):
+        CycNum(*args)
+
+
 def test_extract_rational_accepts_constant():
     a = CycNum(3, (Fraction(5, 2), Fraction(0)))
     assert extract_rational(a) == Fraction(5, 2)
@@ -183,6 +200,9 @@ def test_field_axioms_on_sampled_triples(n, data):
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
     assert a * b == b * a
+    assert CycNum(n, a.coeffs) == a
+    assert (a + b) - b == a
+    assert hash(a * b) == hash(b * a)
 
 
 @settings(max_examples=40, deadline=None)
