@@ -71,8 +71,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler's totient.
+    """Euler's totient, memoised: every CycNum checks its length against it.
 
     >>> [euler_phi(n) for n in (1, 2, 6, 12, 45)]
     [1, 1, 2, 4, 24]
@@ -163,8 +164,10 @@ class CycNum:
             nums = [c.numerator * (scale // c.denominator) for c in nums]
             den *= scale
         g = math.gcd(den, *nums)
-        object.__setattr__(self, "nums", tuple([c // g for c in nums]))
-        object.__setattr__(self, "den", den // g)
+        # A tuple of ints with gcd 1 is already in stored form.
+        if g > 1 or type(nums) is not tuple:
+            object.__setattr__(self, "nums", tuple([c // g for c in nums]))
+            object.__setattr__(self, "den", den // g)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -184,8 +187,8 @@ class CycNum:
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> CycNum:
-        """zeta_n^power, any integer power."""
-        return cls.from_poly(n, [0] * (power % n) + [1])
+        """zeta_n^power, any integer power; one shared object per residue."""
+        return _zeta(n, power % n)
 
     def _coerce(self, other: CycNum | Fraction | int) -> CycNum:
         if not isinstance(other, CycNum):
@@ -216,6 +219,9 @@ class CycNum:
         o = self._coerce(other)
         if o.is_rational():
             nums = tuple([a * o.nums[0] for a in self.nums])
+            return CycNum(self.conductor, nums, self.den * o.den)
+        if self.is_rational():
+            nums = tuple([self.nums[0] * b for b in o.nums])
             return CycNum(self.conductor, nums, self.den * o.den)
         product = _int_poly_mul(self.nums, o.nums)
         return CycNum.from_poly(self.conductor, product, self.den * o.den)
@@ -291,6 +297,11 @@ class CycNum:
         with mpmath.workprec(prec_bits):
             z = mpmath.exp(2j * mpmath.pi / self.conductor)
             return mpmath.polyval(self.nums[::-1], z) / self.den
+
+
+@lru_cache(maxsize=None)
+def _zeta(n: int, residue: int) -> CycNum:
+    return CycNum.from_poly(n, [0] * residue + [1])
 
 
 def extract_rational(a: CycNum) -> Fraction:

@@ -19,12 +19,15 @@ an m^g-dimensional representation whose center acts by zeta_m^{n t}.
 Matrices are exact, with entries in Q(zeta_m).
 
 irrep_census rebuilds the whole character table of the group by brute
-force: conjugacy classes from literal conjugation, candidate irreducibles
-from Schroedinger representations of every quotient modulus pulled back
-and twisted by linear characters, then a completeness proof by exact
+force: conjugacy classes by orbit closure under conjugation by the 2g+1
+generators (still by group products), candidate irreducibles from
+Schroedinger representations of every quotient modulus pulled back and
+twisted by linear characters, then a completeness proof by exact
 character norms, pairwise distinctness, the sum-of-squares count, and
-the class count.  Even m is rejected everywhere; the construction with
-half-integer weights it would need is out of scope.
+the class count.  A census is priced before it starts at
+|G| (2g+1) + classes^2 and refused above CENSUS_BUDGET.  Even m is
+rejected everywhere; the construction with half-integer weights it would
+need is out of scope.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from typing import Iterator
 
 from .exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
 
-CENSUS_BUDGET = 100_000
+ORDER_BUDGET = 100_000  # group order, for the checks that walk every element
+CENSUS_BUDGET = 500_000  # |G| (2g+1) + classes^2, for irrep_census
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,17 @@ def _mat_mul(a, b, m: int):
     return tuple(out)
 
 
+def _generators(m: int, g: int) -> list[HeisenbergElement]:
+    """The 2g+1 generators: (1, 0, 0) and the unit vectors in x and in y."""
+    zero = (0,) * g
+    gens = [HeisenbergElement(m, 1 % m, zero, zero)]
+    for i in range(g):
+        e = tuple(int(i == j) % m for j in range(g))
+        gens.append(HeisenbergElement(m, 0, e, zero))
+        gens.append(HeisenbergElement(m, 0, zero, e))
+    return gens
+
+
 def schrodinger_rep(m: int, n: int, g: int) -> SchrodingerRep:
     """Build the representation and assert the group law on generators."""
     if m < 1 or m % 2 == 0:
@@ -180,11 +195,7 @@ def schrodinger_rep(m: int, n: int, g: int) -> SchrodingerRep:
         )
     rep = SchrodingerRep(m, n % m, g)
     if m > 1:
-        gens = [HeisenbergElement(m, 1, (0,) * g, (0,) * g)]
-        for i in range(g):
-            e = tuple(int(i == j) for j in range(g))
-            gens.append(HeisenbergElement(m, 0, e, (0,) * g))
-            gens.append(HeisenbergElement(m, 0, (0,) * g, e))
+        gens = _generators(m, g)
         mats = {h: rep.matrix(h) for h in gens}
         for a in gens:
             for b in gens:
@@ -197,9 +208,29 @@ def schrodinger_rep(m: int, n: int, g: int) -> SchrodingerRep:
 
 def _check_budget(m: int, g: int) -> None:
     order = m ** (2 * g + 1)
-    if order > CENSUS_BUDGET:
+    if order > ORDER_BUDGET:
         raise HypothesisError(
-            f"group order {order} exceeds the brute-force budget {CENSUS_BUDGET}"
+            f"group order {order} exceeds the brute-force budget {ORDER_BUDGET}"
+        )
+
+
+def _class_count(m: int, g: int) -> int:
+    """Number of conjugacy classes, sum over w mod m of gcd(w, m)^{2g}.
+
+    Used only to price a census before it starts; the census counts its
+    classes itself.
+    """
+    return sum(math.gcd(w, m) ** (2 * g) for w in range(m))
+
+
+def _check_census_budget(m: int, g: int) -> None:
+    # Class closure takes |G| (2g+1) conjugations; the character rows and
+    # their norms take classes^2 products.
+    cost = m ** (2 * g + 1) * (2 * g + 1) + _class_count(m, g) ** 2
+    if cost > CENSUS_BUDGET:
+        raise HypothesisError(
+            f"census cost {cost} (|G| (2g+1) + classes^2) exceeds the "
+            f"budget {CENSUS_BUDGET}"
         )
 
 
@@ -225,14 +256,28 @@ def check_character_supported_on_center(rep: SchrodingerRep) -> bool:
 
 
 def _conjugacy_classes(m: int, g: int) -> list[tuple[HeisenbergElement, int]]:
-    """Class representatives and sizes, by literal conjugation."""
-    elements = list(all_elements(m, g))
+    """Class representatives and sizes, by orbit closure.
+
+    Each class is closed under conjugation c h c^{-1} by the 2g+1
+    generators, still by group products, so it costs 2 |G| (2g+1)
+    products in all instead of 2 |G| per class.  Representatives are the
+    first elements met in all_elements order.
+    """
+    conjugators = [(c, c.inverse()) for c in _generators(m, g)]
     seen: set[HeisenbergElement] = set()
     classes = []
-    for h in elements:
+    for h in all_elements(m, g):
         if h in seen:
             continue
-        orbit = {c * h * c.inverse() for c in elements}
+        orbit = {h}
+        frontier = [h]
+        while frontier:
+            k = frontier.pop()
+            for c, c_inv in conjugators:
+                image = c * k * c_inv
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
         seen |= orbit
         classes.append((h, len(orbit)))
     return classes
@@ -261,7 +306,7 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
         raise HypothesisError(f"modulus must be odd and positive, got {m}")
     if g < 1:
         raise HypothesisError(f"genus must be >= 1, got {g}")
-    _check_budget(m, g)
+    _check_census_budget(m, g)
     order = m ** (2 * g + 1)
     classes = _conjugacy_classes(m, g)
     reps = [h for h, _ in classes]

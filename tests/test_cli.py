@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -218,6 +219,17 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert line.startswith("hypothesis violated:")
         assert "below 2^31" in line
+
+    def test_oversized_census_refuses_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "heisenberg", "census", "--m", "9", "--genus", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("hypothesis violated:")
+        assert "budget" in line
 
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")

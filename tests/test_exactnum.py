@@ -205,6 +205,23 @@ def test_field_axioms_on_sampled_triples(n, data):
     assert hash(a * b) == hash(b * a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=_cond.flatmap(_cycnums))
+def test_rational_operand_on_either_side_matches_polynomial_product(a):
+    n = a.conductor
+    for q in (CycNum.from_rational(n, 1), CycNum.from_rational(n, Fraction(-3, 2))):
+        full = CycNum.from_poly(n, exactnum._int_poly_mul(q.nums, a.nums), q.den * a.den)
+        for product in (q * a, a * q):
+            assert (product.nums, product.den) == (full.nums, full.den)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 29])
+def test_zeta_depends_only_on_the_residue_of_the_power(n):
+    for k in range(-2 * n, 2 * n):
+        assert CycNum.zeta(n, k) == CycNum.zeta(n, k + n) == CycNum.zeta(n, k - n)
+        assert CycNum.zeta(n, k) == CycNum.from_poly(n, [0] * (k % n) + [1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=_cond, data=st.data())
 def test_embedding_matches_exact_value(n, data):

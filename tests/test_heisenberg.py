@@ -10,6 +10,8 @@ from thetacalc.exactnum import CycNum, HypothesisError
 from thetacalc.heisenberg import (
     HeisenbergElement,
     SchrodingerRep,
+    _class_count,
+    _conjugacy_classes,
     _mat_mul,
     all_elements,
     check_character_supported_on_center,
@@ -109,6 +111,29 @@ class TestIrreducibility:
             check_schrodinger_irreducible(SchrodingerRep(7, 1, 3))
 
 
+def _classes_by_full_conjugation(m, g):
+    # Oracle: conjugate each new representative by every group element.
+    elements = list(all_elements(m, g))
+    seen = set()
+    classes = []
+    for h in elements:
+        if h in seen:
+            continue
+        orbit = {c * h * c.inverse() for c in elements}
+        seen |= orbit
+        classes.append((h, len(orbit)))
+    return classes
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("m,g", [(1, 1), (3, 1), (5, 1), (7, 1), (9, 1), (3, 2), (1, 3)])
+    def test_orbit_closure_matches_full_conjugation(self, m, g):
+        classes = _conjugacy_classes(m, g)
+        assert classes == _classes_by_full_conjugation(m, g)
+        assert sum(size for _, size in classes) == m ** (2 * g + 1)
+        assert len(classes) == _class_count(m, g)
+
+
 class TestCensus:
     def test_trivial_group(self):
         assert irrep_census(1, 1) == [(1, 0, 1)]
@@ -148,8 +173,9 @@ class TestCensus:
     def test_rejects_even_and_oversized(self):
         with pytest.raises(HypothesisError, match="odd"):
             irrep_census(4, 1)
-        with pytest.raises(HypothesisError, match="budget"):
-            irrep_census(15, 2)
+        for m, g in [(15, 2), (7, 2)]:
+            with pytest.raises(HypothesisError, match="budget"):
+                irrep_census(m, g)
 
 
 class TestCrossModuleBookkeeping:
