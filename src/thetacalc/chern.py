@@ -180,7 +180,7 @@ def check_wirtinger_dims(a: int, b: int, g: int) -> bool:
 # Exterior-algebra model for the kernel-integral Fourier transform.  Bit i
 # of a mask is the i-th odd generator; bits 0..2g-1 are the source factor
 # (u_i = bit 2i, v_i = bit 2i+1), bits 2g..4g-1 the target factor.
-Element = dict[int, Fraction]
+Element = dict[int, int | Fraction]
 
 
 def _wedge_masks(m1: int, m2: int) -> tuple[int, int]:
@@ -213,7 +213,7 @@ def _mul_elements(e1: Element, e2: Element) -> Element:
             sign, mask = _wedge_masks(m1, m2)
             if sign == 0:
                 continue
-            c = out.get(mask, Fraction(0)) + sign * c1 * c2
+            c = out.get(mask, 0) + sign * c1 * c2
             if c:
                 out[mask] = c
             elif mask in out:
@@ -225,21 +225,13 @@ def _scale_element(e: Element, c: Fraction) -> Element:
     return {m: c * x for m, x in e.items()} if c else {}
 
 
-def _exp_even(e: Element, top_degree: int) -> Element:
-    # e must be a sum of degree-2 terms; such elements commute and are
-    # nilpotent, so the series stops at top_degree / 2 factors.
-    out: Element = {0: Fraction(1)}
-    term: Element = {0: Fraction(1)}
-    for j in range(1, top_degree // 2 + 1):
-        term = _scale_element(_mul_elements(term, e), Fraction(1, j))
-        if not term:
-            break
-        for mask, c in term.items():
-            s = out.get(mask, Fraction(0)) + c
-            if s:
-                out[mask] = s
-            elif mask in out:
-                del out[mask]
+def _exp_even(e: Element) -> Element:
+    # e must be a sum of degree-2 monomials; they commute and each squares
+    # to zero, so exp(e) is the product of the factors 1 + c m, with no
+    # 1/j! and, for integer c, integer coefficients throughout.
+    out: Element = {0: 1}
+    for mask, c in e.items():
+        out = _mul_elements(out, {0: 1, mask: c})
     return out
 
 
@@ -263,16 +255,13 @@ def fm_via_kernel(c: SlopeClass) -> SlopeClass:
     for i in range(g):
         u, v = 1 << (2 * i), 1 << (2 * i + 1)
         ut, vt = 1 << (2 * g + 2 * i), 1 << (2 * g + 2 * i + 1)
-        theta_src[u | v] = Fraction(1)
-        theta_tgt[ut | vt] = Fraction(1)
+        theta_src[u | v] = 1
+        theta_tgt[ut | vt] = 1
         # u_i (tgt-v_i) keeps its sign; (tgt-u_i) v_i picks one up when
         # written with the lower bit first.
-        poincare[u | vt] = Fraction(1)
-        poincare[v | ut] = Fraction(-1)
-    total = _mul_elements(
-        _exp_even(_scale_element(theta_src, c.slope), 4 * g),
-        _exp_even(poincare, 4 * g),
-    )
+        poincare[u | vt] = 1
+        poincare[v | ut] = -1
+    total = _mul_elements(_exp_even(_scale_element(theta_src, c.slope)), _exp_even(poincare))
     full_src = (1 << (2 * g)) - 1
     # The source volume form u_0 v_0 ... u_{g-1} v_{g-1} is the ascending
     # prefix of any mask containing it, so coefficients transfer with no
@@ -282,14 +271,12 @@ def fm_via_kernel(c: SlopeClass) -> SlopeClass:
         for mask, coeff in total.items()
         if mask & full_src == full_src
     }
-    rank2 = c.rank * integrated.get(0, Fraction(0))
+    rank2 = c.rank * integrated.get(0, 0)
     if rank2 == 0:
         raise ConsistencyError("kernel integral lost the rank")
     first_tgt = (1 << (2 * g)) | (1 << (2 * g + 1))
-    slope2 = integrated.get(first_tgt, Fraction(0)) / integrated[0]
-    expected = _scale_element(
-        _exp_even(_scale_element(theta_tgt, slope2), 4 * g), integrated[0]
-    )
+    slope2 = Fraction(integrated.get(first_tgt, 0), integrated[0])
+    expected = _scale_element(_exp_even(_scale_element(theta_tgt, slope2)), integrated[0])
     if expected != integrated:
         raise ConsistencyError(
             "kernel integral is not a pure exponential class"

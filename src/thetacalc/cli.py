@@ -145,6 +145,7 @@ def _cmd_split(args) -> tuple[int, OutputRecord | None]:
 
 def _cmd_pgl(args) -> tuple[int, OutputRecord | None]:
     q = pgl.PglQuery(args.genus, args.rank, args.level, args.d)
+    pgl.check_coperiodic_budget(q)
     a = pgl.pgl_dim_charsum(q)
     b = pgl.pgl_dim_coperiodic(q)
     agree = a == b

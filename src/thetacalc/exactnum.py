@@ -134,6 +134,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def _stored(n: int, nums: Sequence[int], den: int) -> CycNum:
+    # Internal results are ints of the right length over a positive den,
+    # so only their gcd is divided out; CycNum(...) checks outside input.
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = [c // g for c in nums], den // g
+    out = object.__new__(CycNum)
+    out.__dict__.update(conductor=n, nums=tuple(nums), den=den)
+    return out
+
+
 @dataclass(frozen=True)
 class CycNum:
     """An element of Q(zeta_n) with coordinates nums[j] / den.
@@ -164,10 +175,8 @@ class CycNum:
             nums = [c.numerator * (scale // c.denominator) for c in nums]
             den *= scale
         g = math.gcd(den, *nums)
-        # A tuple of ints with gcd 1 is already in stored form.
-        if g > 1 or type(nums) is not tuple:
-            object.__setattr__(self, "nums", tuple([c // g for c in nums]))
-            object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", tuple([c // g for c in nums]))
+        object.__setattr__(self, "den", den // g)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -177,13 +186,12 @@ class CycNum:
     @classmethod
     def from_poly(cls, n: int, ints: Sequence[int], den: int = 1) -> CycNum:
         """ints / den, a polynomial in zeta_n of any degree, reduced mod Phi_n."""
-        rem = _int_poly_divmod(ints, cyclotomic_polynomial(n))[1]
-        return cls(n, tuple(rem), den)
+        return _stored(n, _int_poly_divmod(ints, cyclotomic_polynomial(n))[1], den)
 
     @classmethod
     def from_rational(cls, n: int, value: Fraction | int) -> CycNum:
         q = Fraction(value)
-        return cls(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
+        return _stored(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> CycNum:
@@ -201,13 +209,13 @@ class CycNum:
 
     def __add__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)
-        nums = tuple([a * o.den + b * self.den for a, b in zip(self.nums, o.nums)])
-        return CycNum(self.conductor, nums, self.den * o.den)
+        nums = [a * o.den + b * self.den for a, b in zip(self.nums, o.nums)]
+        return _stored(self.conductor, nums, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.conductor, tuple([-a for a in self.nums]), self.den)
+        return _stored(self.conductor, [-a for a in self.nums], self.den)
 
     def __sub__(self, other: CycNum | Fraction | int) -> CycNum:
         return self + (-self._coerce(other))
@@ -218,11 +226,11 @@ class CycNum:
     def __mul__(self, other: CycNum | Fraction | int) -> CycNum:
         o = self._coerce(other)
         if o.is_rational():
-            nums = tuple([a * o.nums[0] for a in self.nums])
-            return CycNum(self.conductor, nums, self.den * o.den)
+            nums = [a * o.nums[0] for a in self.nums]
+            return _stored(self.conductor, nums, self.den * o.den)
         if self.is_rational():
-            nums = tuple([self.nums[0] * b for b in o.nums])
-            return CycNum(self.conductor, nums, self.den * o.den)
+            nums = [self.nums[0] * b for b in o.nums]
+            return _stored(self.conductor, nums, self.den * o.den)
         product = _int_poly_mul(self.nums, o.nums)
         return CycNum.from_poly(self.conductor, product, self.den * o.den)
 
@@ -244,7 +252,7 @@ class CycNum:
             if math.gcd(t, n) == 1:
                 cofactor = cofactor * self.galois(t)
         norm = extract_rational(self * cofactor)
-        inverse = CycNum(n, cofactor.nums, cofactor.den * abs(norm.numerator))
+        inverse = _stored(n, cofactor.nums, cofactor.den * abs(norm.numerator))
         return inverse * (norm.denominator if norm > 0 else -norm.denominator)
 
     def __pow__(self, exponent: int) -> CycNum:
@@ -320,8 +328,9 @@ def extract_rational(a: CycNum) -> Fraction:
     return Fraction(a.nums[0], a.den)
 
 
+@lru_cache(maxsize=None)
 def sine_square(n: int, d: int) -> CycNum:
-    """|2 sin(pi d / n)|^2 = 2 - zeta_n^d - zeta_n^{-d} as a CycNum."""
+    """|2 sin(pi d / n)|^2 = 2 - zeta_n^d - zeta_n^{-d} as a CycNum, memoised."""
     if d % n == 0:
         raise ValueError("angle is a multiple of pi; the sine vanishes")
     return CycNum.from_rational(n, 2) - CycNum.zeta(n, d) - CycNum.zeta(n, -d)

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
 
@@ -234,15 +234,31 @@ def _check_census_budget(m: int, g: int) -> None:
         )
 
 
+def _norm_sum(
+    weighted: Iterable[tuple[CycNum, int]], m: int, squares: dict[CycNum, CycNum]
+) -> Fraction:
+    """Exact sum of count * |chi|^2 over (chi, count) pairs.
+
+    Counts are added up per distinct value first, so |chi|^2 is formed
+    once per value; squares memoises it across the caller's rows.
+    """
+    counts: dict[CycNum, int] = {}
+    for chi, count in weighted:
+        counts[chi] = counts.get(chi, 0) + count
+    total = CycNum.from_rational(m, 0)
+    for chi, count in counts.items():
+        if chi not in squares:
+            squares[chi] = chi * chi.conjugate()
+        total = total + squares[chi] * count
+    return extract_rational(total)
+
+
 def check_schrodinger_irreducible(rep: SchrodingerRep) -> bool:
     """Exact character norm: (1/|G|) sum_h chi(h) conj(chi(h)) = 1."""
     m, g = rep.m, rep.g
     _check_budget(m, g)
-    total = CycNum.from_rational(m, 0)
-    for h in all_elements(m, g):
-        chi = rep.character(h)
-        total = total + chi * chi.conjugate()
-    return extract_rational(total) == Fraction(m ** (2 * g + 1))
+    norm = _norm_sum(((rep.character(h), 1) for h in all_elements(m, g)), m, {})
+    return norm == m ** (2 * g + 1)
 
 
 def check_character_supported_on_center(rep: SchrodingerRep) -> bool:
@@ -314,6 +330,7 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
         i for i, h in enumerate(reps) if h.is_central() and h.t == 1 % m
     )
     rows: list[tuple[int, int, tuple[CycNum, ...]]] = []
+    twisted: dict[tuple[CycNum, int], CycNum] = {}  # chi * zeta_m^k per (chi, k mod m)
     for f in (f for f in range(1, m + 1) if m % f == 0):
         for np in (np for np in range(f) if math.gcd(f, np) == 1) if f > 1 else [0]:
             sub = SchrodingerRep(f, np, g)
@@ -321,29 +338,23 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
             # The pulled-back character vanishes off x = y = 0 (mod f), where
             # the twist by (u, v) depends only on (u, v) mod m/f.
             for twist in itertools.product(range(m // f), repeat=2 * g):
-                u, v = twist[:g], twist[g:]
-                values = tuple(
-                    chi
-                    * CycNum.zeta(
-                        m,
-                        sum(a * b for a, b in zip(u, h.x))
-                        + sum(a * b for a, b in zip(v, h.y)),
-                    )
-                    for h, chi in zip(reps, base)
-                )
+                values = []
+                for h, chi in zip(reps, base):
+                    k = sum(a * b for a, b in zip(twist, h.x + h.y)) % m
+                    if (chi, k) not in twisted:
+                        twisted[chi, k] = chi * CycNum.zeta(m, k)
+                    values.append(twisted[chi, k])
                 dim = f**g
                 weight = _central_weight(values[central_index], dim, m)
-                rows.append((dim, weight, values))
+                rows.append((dim, weight, tuple(values)))
     if len({values for _, _, values in rows}) != len(rows):
         raise ConsistencyError("two candidates have the same character")
     if len(rows) != len(classes):
         raise ConsistencyError(f"found {len(rows)} candidates but {len(classes)} classes")
     dim_square_sum = 0
+    squares: dict[CycNum, CycNum] = {}
     for dim, weight, values in rows:
-        norm = CycNum.from_rational(m, 0)
-        for (_, size), chi in zip(classes, values):
-            norm = norm + chi * chi.conjugate() * size
-        if extract_rational(norm) != Fraction(order):
+        if _norm_sum(zip(values, (size for _, size in classes)), m, squares) != order:
             raise ConsistencyError(
                 f"candidate of dimension {dim}, weight {weight} has non-unit norm"
             )

@@ -45,6 +45,10 @@ from .exactnum import (
 from .torsion import count_order, divisors
 from .verlinde import SubsetS, VerlindeQuery, all_subsets, subset_term, v_number
 
+# r-subsets of {1, ..., n} one coperiodic walk may visit.  A subset costs
+# about 0.2 ms for n up to 50 on a 2-vCPU VM, so a walk stays under ~4 s.
+COPERIODIC_BUDGET = 20_000
+
 
 @dataclass(frozen=True)
 class PglQuery:
@@ -145,8 +149,19 @@ def pgl_dim_charsum(q: PglQuery) -> int:
     return int(result)
 
 
+def check_coperiodic_budget(q: PglQuery) -> None:
+    """Refuse a coperiodic walk over more than COPERIODIC_BUDGET subsets."""
+    subsets = math.comb(q.n, q.r)
+    if subsets > COPERIODIC_BUDGET:
+        raise HypothesisError(
+            f"coperiodic walk over C({q.n}, {q.r}) = {subsets} subsets exceeds "
+            f"the budget {COPERIODIC_BUDGET}"
+        )
+
+
 def pgl_dim_coperiodic(q: PglQuery) -> int:
     """Projective dimension as a twist-weighted sum over all subsets."""
+    check_coperiodic_budget(q)
     g, r, n, d = q.g, q.r, q.n, q.d
     total = CycNum.from_rational(n, 0)
     for S in all_subsets(n, r):

@@ -7,10 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import thetacalc.chern
+from thetacalc import chern
 from thetacalc.chern import (
     IsogenyMatrix,
     SlopeClass,
@@ -24,11 +24,11 @@ from thetacalc.chern import (
     isogeny_pullback_AxA,
     w_class,
 )
-from thetacalc.exactnum import HypothesisError
+from thetacalc.exactnum import ConsistencyError, HypothesisError
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(thetacalc.chern)
+    failures, _ = doctest.testmod(chern)
     assert failures == 0
 
 
@@ -224,3 +224,88 @@ class TestKernelIntegral:
     def test_genus_budget(self):
         with pytest.raises(HypothesisError, match="g <= 4"):
             fm_via_kernel(SlopeClass(5, 1, 1))
+
+
+def _exp_even_series(e, top_degree):
+    # Oracle: the exponential series, stopped after top_degree / 2 terms
+    # since e is nilpotent.
+    out = {0: Fraction(1)}
+    term = {0: Fraction(1)}
+    for j in range(1, top_degree // 2 + 1):
+        term = chern._scale_element(chern._mul_elements(term, e), Fraction(1, j))
+        if not term:
+            break
+        for mask, c in term.items():
+            s = out.get(mask, Fraction(0)) + c
+            if s:
+                out[mask] = s
+            elif mask in out:
+                del out[mask]
+    return out
+
+
+def _kernel_parts(g):
+    # theta on each factor and the Poincare class, built as fm_via_kernel does.
+    theta_src, theta_tgt, poincare = {}, {}, {}
+    for i in range(g):
+        u, v = 1 << (2 * i), 1 << (2 * i + 1)
+        ut, vt = 1 << (2 * g + 2 * i), 1 << (2 * g + 2 * i + 1)
+        theta_src[u | v] = 1
+        theta_tgt[ut | vt] = 1
+        poincare[u | vt] = 1
+        poincare[v | ut] = -1
+    return theta_src, theta_tgt, poincare
+
+
+@st.composite
+def _degree_two_elements(draw):
+    g = draw(st.integers(min_value=1, max_value=4))
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=4 * g - 1),
+        st.integers(min_value=0, max_value=4 * g - 1),
+    ).filter(lambda p: p[0] != p[1])
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    masks = pairs.map(lambda p: (1 << p[0]) | (1 << p[1]))
+    terms = draw(st.dictionaries(masks, coeff, max_size=7))
+    return g, {mask: c for mask, c in terms.items() if c}
+
+
+class TestFactoredExponential:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_degree_two_elements())
+    def test_matches_the_series(self, case):
+        g, e = case
+        assert chern._exp_even(e) == _exp_even_series(e, 4 * g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.integers(min_value=1, max_value=4),
+        slope=st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    )
+    def test_matches_the_series_on_the_kernel_classes(self, g, slope):
+        theta_src, theta_tgt, poincare = _kernel_parts(g)
+        for e in (
+            chern._scale_element(theta_src, slope),
+            chern._scale_element(theta_tgt, slope),
+            poincare,
+        ):
+            assert chern._exp_even(e) == _exp_even_series(e, 4 * g)
+
+    def test_kernel_route_rejects_a_non_exponential_integral(self, monkeypatch):
+        # A stray top-degree term in exp(P) survives the integration as a
+        # target term that exp(slope * theta_tgt) cannot produce.
+        g = 2
+        c = SlopeClass(g, 3, Fraction(5, 3))
+        assert fm_via_kernel(c) == fm_transform(c)
+        exp_even = chern._exp_even
+        src, top = (1 << (2 * g)) - 1, (1 << (4 * g)) - 1
+
+        def skewed(e):
+            out = exp_even(e)
+            if any(mask & src and mask >> (2 * g) for mask in e):
+                out[top] = out.get(top, 0) + 1
+            return out
+
+        monkeypatch.setattr(chern, "_exp_even", skewed)
+        with pytest.raises(ConsistencyError, match="not a pure exponential"):
+            fm_via_kernel(c)

@@ -231,6 +231,20 @@ class TestExitCodes:
         assert line.startswith("hypothesis violated:")
         assert "budget" in line
 
+    def test_oversized_coperiodic_walk_refuses_before_either_route(self, capsys):
+        # C(23, 11) = 1 352 078 subsets: the walk would run for minutes.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "pgl", "--genus", "2", "--rank", "11", "--level", "12", "--d", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("hypothesis violated:")
+        assert "1352078 subsets" in line and "budget" in line
+
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")
         assert "elapsed_ms" not in out

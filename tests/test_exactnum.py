@@ -192,6 +192,16 @@ def test_multiplicative_inverse_axiom(a):
     assert a * a.inverse() == CycNum.from_rational(a.conductor, 1)
 
 
+def _assert_stored_form(x: CycNum) -> None:
+    # Internal results skip the constructor's checks, so check their fields.
+    assert type(x.nums) is tuple and len(x.nums) == euler_phi(x.conductor)
+    assert all(type(c) is int for c in x.nums)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    rebuilt = CycNum(x.conductor, x.nums, x.den)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=_cond, data=st.data())
 def test_field_axioms_on_sampled_triples(n, data):
@@ -203,6 +213,12 @@ def test_field_axioms_on_sampled_triples(n, data):
     assert CycNum(n, a.coeffs) == a
     assert (a + b) - b == a
     assert hash(a * b) == hash(b * a)
+    unit = max(t for t in range(1, n + 1) if math.gcd(t, n) == 1)
+    results = [a + b, a - b, -a, 1 - a, a * b, a * 3, a.galois(unit), a.lift(2 * n)]
+    if not a.is_zero():
+        results.append(a.inverse())
+    for x in results:
+        _assert_stored_form(x)
 
 
 @settings(max_examples=60, deadline=None)

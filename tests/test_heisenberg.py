@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from thetacalc.exactnum import CycNum, HypothesisError
+from thetacalc.exactnum import ConsistencyError, CycNum, HypothesisError
 from thetacalc.heisenberg import (
     HeisenbergElement,
     SchrodingerRep,
@@ -176,6 +176,55 @@ class TestCensus:
         for m, g in [(15, 2), (7, 2)]:
             with pytest.raises(HypothesisError, match="budget"):
                 irrep_census(m, g)
+
+
+_CENSUS = {
+    (3, 1): [(1, 0, 9), (3, 1, 1), (3, 2, 1)],
+    (3, 2): [(1, 0, 81), (9, 1, 1), (9, 2, 1)],
+}
+
+
+class TestGroupedNormsStillFail:
+    """The norms group values by distinct value; a wrong value must still show."""
+
+    @pytest.mark.parametrize("m,g", sorted(_CENSUS))
+    def test_doubled_character_has_non_unit_norm(self, monkeypatch, m, g):
+        assert irrep_census(m, g) == _CENSUS[m, g]
+        character = SchrodingerRep.character
+        central_generator = HeisenbergElement(m, 1, (0,) * g, (0,) * g)
+
+        def doubled(rep, h):
+            # Doubled everywhere but at the central generator, which fixes
+            # the weight, so the candidate reaches the norm check.
+            chi = character(rep, h)
+            return chi if rep.m != m or h == central_generator else chi * 2
+
+        monkeypatch.setattr(SchrodingerRep, "character", doubled)
+        with pytest.raises(ConsistencyError, match="non-unit norm"):
+            irrep_census(m, g)
+
+    @pytest.mark.parametrize("m,g", sorted(_CENSUS))
+    def test_one_value_off_by_a_root_of_unity_has_non_unit_norm(self, monkeypatch, m, g):
+        assert irrep_census(m, g) == _CENSUS[m, g]
+        character = SchrodingerRep.character
+        # A class representative off the center, where the character is 0.
+        target = HeisenbergElement(m, 0, (0,) * g, (1,) + (0,) * (g - 1))
+
+        def shifted(rep, h):
+            chi = character(rep, h)
+            return chi + CycNum.zeta(m, 1) if rep.m == m and h == target else chi
+
+        monkeypatch.setattr(SchrodingerRep, "character", shifted)
+        with pytest.raises(ConsistencyError, match="non-unit norm"):
+            irrep_census(m, g)
+
+    @pytest.mark.parametrize("m,n,g", [(3, 1, 1), (5, 2, 1), (3, 1, 2)])
+    def test_doubled_schrodinger_character_is_not_irreducible(self, monkeypatch, m, n, g):
+        rep = schrodinger_rep(m, n, g)
+        assert check_schrodinger_irreducible(rep)
+        character = SchrodingerRep.character
+        monkeypatch.setattr(SchrodingerRep, "character", lambda r, h: character(r, h) * 2)
+        assert not check_schrodinger_irreducible(rep)
 
 
 class TestCrossModuleBookkeeping:

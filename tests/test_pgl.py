@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from thetacalc.exactnum import HypothesisError
 from thetacalc.pgl import (
+    COPERIODIC_BUDGET,
     CoperiodResult,
     PglQuery,
     check_coperiodic_product,
@@ -34,6 +37,13 @@ class TestValidation:
     def test_rejects_bad_genus(self):
         with pytest.raises(HypothesisError):
             PglQuery(0, 3, 3, 3)
+
+    def test_coperiodic_walk_over_budget_refuses_before_walking(self):
+        assert math.comb(19, 9) > COPERIODIC_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(HypothesisError, match="92378 subsets exceeds the budget"):
+            pgl_dim_coperiodic(PglQuery(2, 9, 10, 1))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCoperiod:
