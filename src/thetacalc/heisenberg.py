@@ -16,7 +16,10 @@ representation acts on functions f on (Z/m)^g by
     (rho(t, x, y) f)(z) = zeta_m^{n (t + <y, z>)} f(z + x),
 
 an m^g-dimensional representation whose center acts by zeta_m^{n t}.
-Matrices are exact, with entries in Q(zeta_m).
+Every rho(h) is monomial in the delta-function basis: SchrodingerRep.action
+gives its basis permutation and phase exponents mod m, the group law and
+the characters are worked out on those integers, and matrix() is a dense
+view with entries in Q(zeta_m), kept for tests.
 
 irrep_census rebuilds the whole character table of the group by brute
 force: conjugacy classes by orbit closure under conjugation by the 2g+1
@@ -122,53 +125,39 @@ class SchrodingerRep:
     def dim(self) -> int:
         return self.m**self.g
 
-    def _basis(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(range(self.m), repeat=self.g))
+    def action(self, h: HeisenbergElement) -> tuple[list[int], list[int]]:
+        """rho(h) as a monomial map: e_i goes to zeta^{phases[i]} e_{targets[i]}.
 
-    def matrix(self, h: HeisenbergElement) -> tuple[tuple[CycNum, ...], ...]:
-        """rho(h) in the delta-function basis, an exact dim x dim matrix.
-
+        Basis vectors are indexed in itertools.product order, phases mod m.
         rho(t, x, y) sends e_w to zeta^{n (t + <y, w - x>)} e_{w - x}.
         """
         if h.m != self.m or h.g != self.g:
             raise HypothesisError("element does not match the representation")
         m, n = self.m, self.n
-        basis = self._basis()
+        basis = list(itertools.product(range(m), repeat=self.g))
         index = {w: i for i, w in enumerate(basis)}
-        zero = CycNum.from_rational(m, 0)
-        rows = [[zero] * len(basis) for _ in basis]
-        for col, w in enumerate(basis):
+        targets, phases = [], []
+        for w in basis:
             target = tuple((a - b) % m for a, b in zip(w, h.x))
-            phase = n * (h.t + sum(b * c for b, c in zip(h.y, target)))
-            rows[index[target]][col] = CycNum.zeta(m, phase)
+            targets.append(index[target])
+            phases.append(n * (h.t + sum(b * c for b, c in zip(h.y, target))) % m)
+        return targets, phases
+
+    def matrix(self, h: HeisenbergElement) -> tuple[tuple[CycNum, ...], ...]:
+        """Dense view of action(h), an exact dim x dim matrix."""
+        zero = CycNum.from_rational(self.m, 0)
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for col, (row, phase) in enumerate(zip(*self.action(h))):
+            rows[row][col] = CycNum.zeta(self.m, phase)
         return tuple(tuple(row) for row in rows)
 
     def character(self, h: HeisenbergElement) -> CycNum:
-        """Trace of rho(h), summed straight down the matrix diagonal."""
-        if h.m != self.m or h.g != self.g:
-            raise HypothesisError("element does not match the representation")
-        m, n = self.m, self.n
-        total = CycNum.from_rational(m, 0)
-        for w in self._basis():
-            if tuple((a - b) % m for a, b in zip(w, h.x)) == w:
-                phase = n * (h.t + sum(b * c for b, c in zip(h.y, w)))
-                total = total + CycNum.zeta(m, phase)
-        return total
-
-
-def _mat_mul(a, b, m: int):
-    size = len(a)
-    zero = CycNum.from_rational(m, 0)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = zero
-            for l in range(size):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        """Trace of rho(h): the phases of the basis vectors action(h) fixes."""
+        counts = [0] * self.m
+        for i, (target, phase) in enumerate(zip(*self.action(h))):
+            if target == i:
+                counts[phase] += 1
+        return CycNum.from_poly(self.m, counts)
 
 
 def _generators(m: int, g: int) -> list[HeisenbergElement]:
@@ -195,14 +184,16 @@ def schrodinger_rep(m: int, n: int, g: int) -> SchrodingerRep:
         )
     rep = SchrodingerRep(m, n % m, g)
     if m > 1:
+        # rho(a) rho(b) sends e_i to zeta^{pb[i] + pa[tb[i]]} e_{ta[tb[i]]}.
         gens = _generators(m, g)
-        mats = {h: rep.matrix(h) for h in gens}
-        for a in gens:
-            for b in gens:
-                if _mat_mul(mats[a], mats[b], m) != rep.matrix(a * b):
-                    raise ConsistencyError(
-                        f"matrix assignment is not a homomorphism at {a}, {b}"
-                    )
+        actions = {h: rep.action(h) for h in gens}
+        for a, b in itertools.product(gens, repeat=2):
+            (ta, pa), (tb, pb) = actions[a], actions[b]
+            composed = [ta[j] for j in tb], [(p + pa[j]) % m for p, j in zip(pb, tb)]
+            if composed != rep.action(a * b):
+                raise ConsistencyError(
+                    f"Schroedinger action is not a homomorphism at {a}, {b}"
+                )
     return rep
 
 

@@ -39,15 +39,16 @@ from .exactnum import (
     ConsistencyError,
     CycNum,
     HypothesisError,
+    euler_phi,
     extract_rational,
     sine_square,
 )
 from .torsion import count_order, divisors
 from .verlinde import SubsetS, VerlindeQuery, all_subsets, subset_term, v_number
 
-# r-subsets of {1, ..., n} one coperiodic walk may visit.  A subset costs
-# about 0.2 ms for n up to 50 on a 2-vCPU VM, so a walk stays under ~4 s.
-COPERIODIC_BUDGET = 20_000
+# Work units of one coperiodic walk, C(n, r) phi(n) (1 + C(r, 2) phi(n)):
+# 80-310 ns each on a 2-vCPU VM, so an admitted walk stays under ~3 s.
+COPERIODIC_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,13 @@ def pgl_dim_charsum(q: PglQuery) -> int:
 
 
 def check_coperiodic_budget(q: PglQuery) -> None:
-    """Refuse a coperiodic walk over more than COPERIODIC_BUDGET subsets."""
-    subsets = math.comb(q.n, q.r)
-    if subsets > COPERIODIC_BUDGET:
+    """Refuse a coperiodic walk priced above COPERIODIC_BUDGET work units."""
+    subsets, phi = math.comb(q.n, q.r), euler_phi(q.n)
+    cost = subsets * phi * (1 + math.comb(q.r, 2) * phi)
+    if cost > COPERIODIC_BUDGET:
         raise HypothesisError(
             f"coperiodic walk over C({q.n}, {q.r}) = {subsets} subsets exceeds "
-            f"the budget {COPERIODIC_BUDGET}"
+            f"the budget: {cost} work units, above {COPERIODIC_BUDGET}"
         )
 
 

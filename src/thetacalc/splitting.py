@@ -124,17 +124,15 @@ def multiplicity_oracle(q: SplitQuery, xi: CharacterLabel) -> Fraction:
             f"character on (Z/{xi.h})^{2 * xi.g} does not match query "
             f"(Z/{h})^{2 * g}"
         )
-    # tally[(delta, c)]: points of order delta with <xi, alpha> = c.
-    tally: dict[tuple[int, int], int] = {}
+    # tally[delta][c]: points alpha of order delta with xi(alpha^{-1}) = zeta^c.
+    tally: dict[int, list[int]] = {}
     for coords in all_points(h, g):
         delta = h // math.gcd(h, *coords)
-        c = sum(x * a for x, a in zip(xi.coords, coords)) % h
-        key = (delta, c)
-        tally[key] = tally.get(key, 0) + 1
+        c = sum(x * a for x, a in zip(xi.coords, coords))
+        tally.setdefault(delta, [0] * h)[-c % h] += 1
     total = CycNum.from_rational(h, 0)
-    for (delta, c), count in sorted(tally.items()):
-        trace = trace_of_torsion(q, delta).value
-        total = total + CycNum.zeta(h, -c) * (count * trace)
+    for delta, counts in sorted(tally.items()):
+        total = total + CycNum.from_poly(h, counts) * trace_of_torsion(q, delta).value
     return extract_rational(total) / (Fraction(r) ** g * h ** (2 * g))
 
 

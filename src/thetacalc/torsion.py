@@ -67,10 +67,6 @@ class CharacterLabel(TorsionPoint):
             raise HypothesisError("character and point live on different groups")
         return sum(x * a for x, a in zip(self.coords, alpha.coords)) % self.h
 
-    def value_at(self, alpha: TorsionPoint) -> CycNum:
-        """xi(alpha) = zeta_h^{<xi, alpha>}."""
-        return CycNum.zeta(self.h, self.pairing(alpha))
-
 
 @dataclass(frozen=True)
 class SymbolQuery:
@@ -105,18 +101,18 @@ def totient_symbol(q: SymbolQuery) -> Fraction:
 def count_order(h: int, delta: int, g: int) -> int:
     """Number of elements of order exactly delta in (Z/h)^{2g}.
 
-    Equals delta^{2g} * prod_{p | delta} (1 - p^{-2g}), independent of h;
-    h enters only through the divisibility requirement delta | h.
+    Equals prod over p^a || delta of p^{2g(a-1)} (p^{2g} - 1), that is
+    delta^{2g} prod_{p | delta} (1 - p^{-2g}), independent of h; h enters
+    only through the divisibility requirement delta | h.
     """
     if delta < 1 or h % delta != 0:
         raise HypothesisError(f"{delta} does not divide {h}")
     if g < 1:
         raise HypothesisError(f"genus must be >= 1, got {g}")
-    out = Fraction(delta ** (2 * g))
-    for p, _ in factorize(delta):
-        out *= 1 - Fraction(1, p ** (2 * g))
-    assert out.denominator == 1
-    return int(out)
+    out = 1
+    for p, a in factorize(delta):
+        out *= p ** (2 * g * (a - 1)) * (p ** (2 * g) - 1)
+    return out
 
 
 def divisors(n: int) -> list[int]:
@@ -152,13 +148,8 @@ def character_order_sum(xi: CharacterLabel, delta: int) -> Fraction:
     for coords in all_points(h, g):
         if h // math.gcd(h, *coords) != target:
             continue
-        c = sum(x * a for x, a in zip(xi.coords, coords)) % h
-        tally[(-c) % h] += 1
-    total = CycNum.from_rational(h, 0)
-    for c, count in enumerate(tally):
-        if count:
-            total = total + CycNum.zeta(h, c) * count
-    return extract_rational(total)
+        tally[-sum(x * a for x, a in zip(xi.coords, coords)) % h] += 1
+    return extract_rational(CycNum.from_poly(h, tally))
 
 
 def character_order_sum_formula(xi: CharacterLabel, delta: int) -> Fraction:

@@ -1,8 +1,9 @@
-"""Heisenberg groups: group law, Schroedinger matrices, full census."""
+"""Heisenberg groups: group law, Schroedinger actions, full census."""
 
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -12,13 +13,28 @@ from thetacalc.heisenberg import (
     SchrodingerRep,
     _class_count,
     _conjugacy_classes,
-    _mat_mul,
     all_elements,
     check_character_supported_on_center,
     check_schrodinger_irreducible,
     irrep_census,
     schrodinger_rep,
 )
+
+
+def _mat_mul(a, b, m):
+    # Dense oracle: the plain matrix product of two dense views.
+    size = len(a)
+    zero = CycNum.from_rational(m, 0)
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = zero
+            for l in range(size):
+                acc = acc + a[i][l] * b[l][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 class TestGroupLaw:
@@ -83,6 +99,34 @@ class TestSchrodingerRep:
         mats = {h: rep.matrix(h) for h in els}
         for a, b in itertools.product(els, repeat=2):
             assert _mat_mul(mats[a], mats[b], 3) == mats[a * b]
+
+    @pytest.mark.parametrize("m,n,g", [(3, 1, 1), (5, 2, 1), (3, 1, 2)])
+    def test_character_is_trace_of_dense_view(self, m, n, g):
+        rep = schrodinger_rep(m, n, g)
+        for h in all_elements(m, g):
+            mat = rep.matrix(h)
+            trace = sum((mat[i][i] for i in range(rep.dim)), CycNum.from_rational(m, 0))
+            assert rep.character(h) == trace
+
+    def test_wrong_phase_breaks_the_group_law(self, monkeypatch):
+        action = SchrodingerRep.action
+        x_generator = HeisenbergElement(5, 0, (1,), (0,))
+
+        def wrong_phase(rep, h):
+            targets, phases = action(rep, h)
+            if h == x_generator:
+                phases[0] = (phases[0] + 1) % rep.m
+            return targets, phases
+
+        monkeypatch.setattr(SchrodingerRep, "action", wrong_phase)
+        with pytest.raises(ConsistencyError, match="not a homomorphism"):
+            schrodinger_rep(5, 1, 1)
+
+    def test_group_law_check_stays_cheap(self):
+        # A group-law check by dense CycNum products takes about 1.5 s here.
+        start = time.perf_counter()
+        assert schrodinger_rep(5, 1, 2).dim == 25
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(HypothesisError, match="odd"):

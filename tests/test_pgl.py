@@ -39,10 +39,23 @@ class TestValidation:
             PglQuery(0, 3, 3, 3)
 
     def test_coperiodic_walk_over_budget_refuses_before_walking(self):
-        assert math.comb(19, 9) > COPERIODIC_BUDGET
+        # phi(19) = 18: the price is C(19, 9) phi (1 + C(9, 2) phi).
+        assert math.comb(19, 9) * 18 * (1 + math.comb(9, 2) * 18) > COPERIODIC_BUDGET
         start = time.perf_counter()
         with pytest.raises(HypothesisError, match="92378 subsets exceeds the budget"):
             pgl_dim_coperiodic(PglQuery(2, 9, 10, 1))
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "q",
+        # Few subsets but long CycNums: these walks would take 33 s and 8 s.
+        [PglQuery(2, 1, 19999, 1), PglQuery(2, 3, 46, 1)],
+    )
+    def test_walk_priced_by_its_work_refuses(self, q):
+        assert math.comb(q.n, q.r) <= 20_000
+        start = time.perf_counter()
+        with pytest.raises(HypothesisError, match="work units, above"):
+            pgl_dim_coperiodic(q)
         assert time.perf_counter() - start < 0.1
 
 

@@ -62,6 +62,19 @@ def test_count_order_known_values():
     assert count_order(15, 15, 2) == 15**4 - 5**4 - 3**4 + 1
 
 
+def test_count_order_matches_the_rational_product():
+    # delta^{2g} prod_{p | delta} (1 - p^{-2g}), in Fractions.
+    for delta in divisors(720_720):
+        if delta >= 400:
+            break
+        for g in (1, 2, 3, 5):
+            want = Fraction(delta ** (2 * g))
+            for p in (p for p in range(2, delta + 1) if delta % p == 0):
+                if all(p % q for q in range(2, p)):
+                    want *= 1 - Fraction(1, p ** (2 * g))
+            assert count_order(720_720, delta, g) == want
+
+
 def test_count_order_rejects_nondivisor():
     with pytest.raises(HypothesisError):
         count_order(9, 2, 1)
