@@ -21,11 +21,19 @@ production paths produce v_g:
   * genus >= 2: the sum, grouped by distinct difference histograms, is
     evaluated modulo several primes p = 1 (mod n) using a root of unity in
     F_p and reconstructed by CRT (`_v_modular`), rigorously and without
-    assuming anything this library is supposed to verify:
-    prod_{d=1}^{n-1} (2 - zeta^d - zeta^{-d}) = n^2 makes n^2 / s_d an
-    algebraic integer, so the sum times D = n^{2(g-1)C(r,2)} is a plain
-    integer, and the CRT modulus is sized from C(n, r) times the largest
-    (positive) term, in float64 log space plus two bits for float error.
+    assuming anything this library is supposed to verify.  The denominators
+    are cleared by cyclotomic valuations (Washington, Introduction to
+    Cyclotomic Fields, GTM 83, ch. 1-2): with m_d = n / gcd(n, d), the factor
+    s_d = 2 - zeta^d - zeta^{-d} = -zeta^{-d} (1 - zeta^d)^2 is a unit unless
+    m_d is a prime power p^a, and then s_d^{phi(m_d)} is p^2 times a unit,
+    so v_p(s_d) = 2 / phi(m_d).  The sum times D = prod_{p | n} p^{E_p},
+    E_p = ceil((g-1) max_h sum_d h_d v_p(s_d)) over the histogram rows h,
+    is an algebraic integer and rational, so a plain integer; D divides
+    the cruder n^{2(g-1)C(r,2)} and is far smaller.  The CRT modulus is
+    sized from C(n, r) times the largest (positive) term times D, in
+    float64 log space plus an explicit float-error bound and two bits.
+    A work price (`RESIDUE_BUDGET`) refuses a call before its first orbit,
+    and again before its first prime.
 
 `_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
 is the reference oracle that the tests and the identity suite compare the
@@ -55,6 +63,7 @@ from .exactnum import (
 )
 
 _CHUNK = 1 << 15
+RESIDUE_BUDGET = 50_000_000  # work units; `_v_modular` prices each call
 
 
 @dataclass(frozen=True)
@@ -119,15 +128,18 @@ def _necklace_blocks(n: int, r: int, t: int = 1, frontier: tuple = ()) -> Iterat
     # Necklace representatives (r >= 1) as (members, orbit sizes) blocks of at
     # most _CHUNK rows.  A frontier row has fixed gaps w[1..t-1] (w[0] = 1 is a
     # sentinel), its prenecklace period p and the sum still to place, rest;
-    # gap t ranges over [w[t-p], rest - (r-t)].
-    gaps, period, rest = frontier or (np.ones((1, r + 1), np.int64), np.array([1]), np.array([n]))
+    # gap t ranges over [w[t-p], rest - (r-t)].  Every index is int32 (n is
+    # below 2^31, as `_primes_one_mod` requires); orbit sizes are int64.
+    ones = np.ones((1, r + 1), np.int32)
+    gaps, period, rest = frontier or (ones, ones[:, 0], np.full(1, n, np.int32))
     lo = gaps[np.arange(len(gaps)), t - period]
     if t == r:
         # The last gap is forced to absorb the rest.  Gap period q means
         # the stabilizer has order r // q: the orbit has n q / r translates.
         q = np.where(rest == lo, period, r)
         keep = (rest >= lo) & (r % q == 0)
-        members, weights = np.cumsum(gaps[keep, :r], axis=1), n * q[keep] // r
+        members = np.cumsum(gaps[keep, :r], axis=1, dtype=np.int32)
+        weights = n * q[keep].astype(np.int64) // r
         for s in range(0, len(weights), _CHUNK):
             yield members[s : s + _CHUNK], weights[s : s + _CHUNK]
         return
@@ -140,7 +152,7 @@ def _necklace_blocks(n: int, r: int, t: int = 1, frontier: tuple = ()) -> Iterat
         # block (one parent at least), so memory stays per block.
         stop = max(int(np.searchsorted(ends, first[start] + _CHUNK, "right")), start + 1)
         parent = np.repeat(np.arange(start, stop), count[start:stop])
-        c = lo[parent] + np.arange(first[start], ends[stop - 1]) - first[parent]
+        c = lo[parent] + (np.arange(first[start], ends[stop - 1]) - first[parent]).astype(np.int32)
         child = gaps[parent]
         child[:, t] = c
         period_c = np.where(c == lo[parent], period[parent], t)
@@ -210,16 +222,21 @@ def _root_of_order(n: int, p: int) -> int:
 def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
     # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
+    # Rows go through bincount in slices of at most 2^21 pair and histogram
+    # cells, which bounds the temporaries and keeps the int32 flat index small.
     width = n // 2 + 1
     idx_i, idx_j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # pairs i < j
+    step = max(1, (_CHUNK << 6) // (len(idx_i) + width))
     blocks = []
     for members, weights in _necklace_blocks(n, r):
-        delta = members[:, idx_j]
-        delta -= members[:, idx_i]
-        np.minimum(delta, n - delta, out=delta)
-        delta += width * np.arange(len(weights))[:, None]
-        hist = np.bincount(delta.ravel(), minlength=width * len(weights))
-        blocks.append((hist.reshape(-1, width).astype(np.min_scalar_type(r)), weights))
+        for s in range(0, len(weights), step):
+            rows = members[s : s + step]
+            delta = rows[:, idx_j]
+            delta -= rows[:, idx_i]
+            np.minimum(delta, n - delta, out=delta)
+            delta += width * np.arange(len(rows), dtype=np.int32)[:, None]
+            hist = np.bincount(delta.ravel(), minlength=width * len(rows)).reshape(-1, width)
+            blocks.append((hist.astype(np.min_scalar_type(r)), weights[s : s + step]))
     hist, weights = map(np.concatenate, zip(*blocks))
     order = np.lexsort(hist.T[::-1])
     hist, weights = hist[order], weights[order]
@@ -227,22 +244,54 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return hist[starts], np.add.reduceat(weights, starts)
 
 
-def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray) -> int:
-    """Bits b such that every modulus M >= 2^b exceeds 2 |sum * D| + 1."""
+@lru_cache(maxsize=None)
+def _valuation_weights(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    # Per prime power q = p^a || n: (p, phi(q), pairs (d, w_d)) for the d
+    # with m_d = n / gcd(n, d) = p^b, w_d = 2 p^{a-b}, so that w_d / phi(q) =
+    # 2 / phi(m_d) is the p-adic valuation of s_d = 2 - zeta^d - zeta^{-d};
+    # every other s_d is a unit at p.  m_d divides q exactly when d = (n/q) j,
+    # and then p^{a-b} = gcd(q, j).
+    out = []
+    for p, a in factorize(n):
+        q = p**a
+        pairs = tuple((n // q * j, 2 * math.gcd(q, j)) for j in range(1, q // 2 + 1))
+        out.append((p, q // p * (p - 1), pairs))
+    return tuple(out)
+
+
+def _clearing_denominator(n: int, g: int, hist: np.ndarray) -> int:
+    """D = prod_{p | n} p^{E_p} with the orbit sum times D an integer.
+
+    A term prod_d s_d^{(1-g) h_d} has p-adic valuation (1-g) sum_d h_d v_p(s_d)
+    and is a unit away from the primes over n, so E_p is the largest
+    (g-1) sum_d h_d v_p(s_d) over the rows, rounded up.
+    """
+    denom = 1
+    for p, phi, pairs in _valuation_weights(n):
+        top = (g - 1) * int(sum(w * hist[:, d].astype(np.int64) for d, w in pairs).max())
+        denom *= p ** -(-top // phi)
+    return denom
+
+
+def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, denom: int) -> int:
+    """Bits b such that every modulus M >= 2^b exceeds 2 |sum * denom| + 1."""
     # Every term is positive and the orbit sizes add up to C(n, r), so
     # log2 sum <= log2 C(n, r) + (g-1) max_h sum_d h_d c_d with
-    # c_d = -log2 4 sin^2(pi d / n); D = n^{2e} with e = (g-1) C(r, 2).
+    # c_d = -log2 4 sin^2(pi d / n).
     cost = [-math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in range(1, n // 2 + 1)]
     e = (g - 1) * (r * (r - 1) // 2)
-    top = (g - 1) * float((hist * np.array([0.0] + cost)).sum(axis=1).max())
-    log_bound = math.log2(math.comb(n, r)) + top + 2 * e * math.log2(n)
+    rows = sum((hist[:, d] * c for d, c in enumerate(cost, 1)), np.zeros(len(hist)))
+    top = (g - 1) * float(rows.max())
+    log_bound = math.log2(math.comb(n, r)) + top + math.log2(denom)
     # Float error: each c_d is off by under 2^-47 (1 + |c_d|) (sin is well
-    # conditioned on (0, pi/2]), |c_d| <= 2 log2 n and a row has n/2 + 1 terms,
-    # so log_bound is off by under e (n + 2)(1 + 2 log2 n) 2^-47: under 0.01
-    # bit unless the call refuses, as log_bound >= 2e (log2 n - 1) and the
-    # primes below 2^31 give under 2^36 / n bits (n <= 2 is exact).  One
-    # margin bit covers it, one more the factor 2 and the + 1.
-    return math.ceil(log_bound) + 2
+    # conditioned on (0, pi/2]), |c_d| <= 2 log2 n, and a row sums n/2
+    # products whose counts h_d add up to C(r, 2), so top is off by under
+    # e (n + 2)(1 + 2 log2 n) 2^-47, with room to spare for the roundings
+    # of the logs and sums above.  top and log2 denom nearly cancel at large
+    # g and small k while this error grows like e, so it is added in full;
+    # one margin bit more covers the factor 2, one the + 1.
+    err = e * (n + 2) * (1 + 2 * math.log2(n)) * 2.0**-47
+    return math.ceil(log_bound + err) + 2
 
 
 @lru_cache(maxsize=None)
@@ -260,16 +309,31 @@ def _crt_primes(n: int, bits: int) -> tuple[int, ...]:
     )
 
 
+def _check_residue_price(n: int, r: int, price: int, what: str) -> None:
+    if price > RESIDUE_BUDGET:
+        raise HypothesisError(
+            f"the residue sum over C({n}, {r}) = {math.comb(n, r)} subsets needs {what}: "
+            f"{price} work units, over the budget of {RESIDUE_BUDGET}"
+        )
+
+
 def _v_modular(n: int, r: int, g: int) -> Fraction:
     """Orbit sum via residues mod primes p = 1 (mod n), reconstructed by CRT."""
     _crt_primes(n, 0)  # refuse at once when there is no such prime at all (memoised per n)
+    # Before the first orbit: about C(n, r) / n orbits, each C(r, 2) pair
+    # differences and n/2 + 1 histogram cells.  Before the first prime: one
+    # gather per distinct row, column and prime.
+    orbits = -(-math.comb(n, r) // n)
+    cells = r * (r - 1) // 2 + n // 2 + 1
+    _check_residue_price(n, r, orbits * cells, "orbits x (pairs + cells)")
     hist, weights = _distinct_histograms(n, r)
-    primes = _crt_primes(n, _modulus_bits(n, r, g, hist))
-    denom_clear = n ** (2 * (g - 1) * (r * (r - 1) // 2))  # sum * denom_clear is an integer
+    denom = _clearing_denominator(n, g, hist)
+    primes = _crt_primes(n, _modulus_bits(n, r, g, hist, denom))
+    _check_residue_price(n, r, len(primes) * len(hist) * (n // 2), "primes x rows x columns")
     total, mod = 0, 1
     for p in primes:
         w = _root_of_order(n, p)
-        acc = weights % p * (denom_clear % p) % p  # residues of sum * denom_clear
+        acc = weights % p * (denom % p) % p  # residues of sum * denom
         for d in range(1, n // 2 + 1):
             # Gather from T[h] = s_d^{(1-g) h} mod p, one column per d.
             base = pow((2 - pow(w, d, p) - pow(w, n - d, p)) % p, (1 - g) % (p - 1), p)
@@ -281,7 +345,7 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
     total %= mod
     if total > mod // 2:
         total -= mod
-    return Fraction(n) ** (r * (g - 1)) * Fraction(total, denom_clear)
+    return Fraction(n) ** (r * (g - 1)) * Fraction(total, denom)
 
 
 def _v_exact(n: int, r: int, g: int) -> Fraction:

@@ -245,6 +245,18 @@ class TestExitCodes:
         assert line.startswith("hypothesis violated:")
         assert "1352078 subsets" in line and "budget" in line
 
+    def test_oversized_residue_sum_refuses_before_the_first_orbit(self, capsys):
+        # C(40, 12) = 5.6e9 subsets: the residue sum would run for hours.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "v", "--genus", "2", "--rank", "12", "--level", "28")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("hypothesis violated:")
+        assert "5586853480 subsets" in line and "budget" in line
+
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")
         assert "elapsed_ms" not in out

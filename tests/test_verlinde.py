@@ -6,15 +6,25 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetacalc import verlinde
-from thetacalc.exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
+from thetacalc.exactnum import (
+    ConsistencyError,
+    CycNum,
+    HypothesisError,
+    euler_phi,
+    extract_rational,
+    factorize,
+    sine_power,
+)
 from thetacalc.verlinde import (
     SubsetS,
     VerlindeQuery,
+    _clearing_denominator,
     _crt_primes,
     _distinct_histograms,
     _is_prime,
@@ -310,16 +320,24 @@ def test_prime_test_agrees_with_trial_division():
         assert _is_prime(m) == by_division(m), m
 
 
+def _assert_modulus_covers(n, r, g):
+    # D divides the old clearing factor n^{2e}, the orbit sum times D is an
+    # integer, and the CRT modulus recovers it with its sign.
+    hist, _ = _distinct_histograms(n, r)
+    denom = _clearing_denominator(n, g, hist)
+    modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist, denom)))
+    e = (g - 1) * math.comb(r, 2)
+    assert n ** (2 * e) % denom == 0, (g, n, r)
+    scaled = _v_exact(n, r, g) / Fraction(n) ** (r * (g - 1)) * denom
+    assert scaled.denominator == 1, (g, n, r)
+    assert modulus > 2 * abs(scaled) + 1, (g, n, r)
+
+
 def test_crt_modulus_covers_the_value_and_beats_the_worst_case():
     for g in range(1, 5):
         for n in range(1, 13):
             for r in range(1, n + 1):
-                hist, _ = _distinct_histograms(n, r)
-                modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist)))
-                e = (g - 1) * math.comb(r, 2)
-                scaled = _v_exact(n, r, g) / Fraction(n) ** (r * (g - 1)) * n ** (2 * e)
-                assert scaled.denominator == 1
-                assert modulus > 2 * abs(scaled) + 1, (g, n, r)
+                _assert_modulus_covers(n, r, g)
     # The worst-case bound it replaces: |sum| <= C(n, r) (n^2/16)^e, from
     # 4 sin^2(pi/n) >= 16/n^2.
     n, r, g = 25, 9, 2
@@ -332,7 +350,53 @@ def test_crt_modulus_covers_the_value_and_beats_the_worst_case():
             break
         old, modulus = old + 1, modulus * p
     hist, _ = _distinct_histograms(n, r)
-    assert len(_crt_primes(n, _modulus_bits(n, r, g, hist))) < old
+    bits = _modulus_bits(n, r, g, hist, _clearing_denominator(n, g, hist))
+    assert len(_crt_primes(n, bits)) < old
+
+
+def test_large_genus_small_level_keeps_the_modulus_rigorous():
+    # At large g and small k the sine powers nearly cancel log2 D in the
+    # bit count while its float error grows with e = (g-1) C(r, 2).
+    for n, r in [(3, 2), (4, 2), (4, 3), (5, 3), (6, 3), (6, 2)]:
+        for g in (17, 60, 151):
+            _assert_modulus_covers(n, r, g)
+            assert _v_modular(n, r, g) == _v_exact(n, r, g), (g, n, r)
+
+
+def test_denominator_clears_every_term_and_no_more():
+    # The sum can be more integral than its terms (for v_2(2, 3) it is
+    # 5 / s_1 + 5 / s_2 = 5, though 1 / s_1 is not integral), so D is checked
+    # against each orbit's term: term * D is integral, and for each p | D
+    # some term * D / p is not.
+    for g in (2, 3):
+        for n in range(2, 13):
+            for r in range(2, n):
+                hist, _ = _distinct_histograms(n, r)
+                denom = _clearing_denominator(n, g, hist)
+                terms = []
+                for members, _ in necklace_orbits(n, r):
+                    term = CycNum.from_rational(n, 1)
+                    for d, mult in verlinde._difference_multiset(members, n).items():
+                        term = term * sine_power(n, d, (1 - g) * mult)
+                    terms.append(term)
+                assert all((t * denom).den == 1 for t in terms), (g, n, r)
+                for p, _ in factorize(denom):
+                    assert any((t * Fraction(denom, p)).den != 1 for t in terms), (g, n, r, p)
+
+
+def test_sine_squares_are_units_or_divide_p_squared():
+    # The lemma behind D: with m = n / gcd(n, d), s_d = 2 - zeta^d - zeta^{-d}
+    # is a unit unless m is a prime power p^a, and then s_d^{phi(m)} is p^2
+    # times a unit.  Integral means integer power-basis coordinates.
+    for n in range(2, 41):
+        for d in range(1, n // 2 + 1):
+            m = n // math.gcd(n, d)
+            if len(factorize(m)) > 1:
+                assert sine_power(n, d, -1).den == 1, (n, d)
+                continue
+            ((p, _),) = factorize(m)
+            x = sine_power(n, d, -euler_phi(m)) * (p * p)
+            assert x.den == 1 and x.inverse().den == 1, (n, d)
 
 
 def test_paths_agree_with_plain_subset_sum():
@@ -377,3 +441,48 @@ def test_float_agreement():
 def test_v_number_is_memoized():
     q = VerlindeQuery(3, 4, 4)
     assert v_number(q) is v_number(q)
+
+
+def test_int32_indices_hold_past_two_to_the_fifteen():
+    # Members, gaps and pair differences are int32 and orbit sizes int64;
+    # at n = 40 000 the folded differences run past 2^15.
+    n = 40_000
+    folded, total = [], 0
+    for members, weights in verlinde._necklace_blocks(n, 2):
+        delta = members[:, 1] - members[:, 0]
+        folded += np.minimum(delta, n - delta).tolist()
+        total += int(weights.sum())
+    assert total == math.comb(n, 2)
+    assert sorted(folded) == list(range(1, n // 2 + 1))
+    k = 39_999
+    assert v_number(VerlindeQuery(2, 1, k)) == (k + 1) ** 2
+
+
+def test_wide_rank_two_sum_matches_the_float_oracle():
+    # Rank 2 at n = 4099: 2049 distinct rows of 2050 histogram cells.  The
+    # residue price grows as n^2 / 4 here, so n > 2^15 (2.7e8 units)
+    # refuses before the first orbit.
+    n = 4099
+    exact = _v_modular(n, 2, 2)
+    assert abs(float(_v_float(n, 2, 2)) - float(exact)) <= 1e-9 * float(exact)
+    with pytest.raises(HypothesisError, match="orbits x"):
+        _v_modular(2**15 + 3, 2, 2)
+
+
+def test_residue_price_refuses_before_the_first_orbit(monkeypatch):
+    # C(40, 12) = 5.6e9 subsets would take hours; the price is known up front.
+    def no_orbits(*args):
+        raise AssertionError("enumerated orbits past the budget")
+
+    monkeypatch.setattr(verlinde, "_necklace_blocks", no_orbits)
+    with pytest.raises(HypothesisError, match="C\\(40, 12\\) = 5586853480 subsets"):
+        _v_modular(40, 12, 2)
+
+
+def test_residue_price_counts_the_primes(monkeypatch):
+    # Genus 200 needs about 80 primes where genus 2 needs 2: the second
+    # price, once the primes are known, refuses before the first of them.
+    monkeypatch.setattr(verlinde, "RESIDUE_BUDGET", 1000)
+    assert _v_modular(12, 3, 2) == _v_exact(12, 3, 2)
+    with pytest.raises(HypothesisError, match="primes x rows x columns"):
+        _v_modular(12, 3, 200)
