@@ -41,6 +41,12 @@ class HypothesisError(ValueError):
     """An input lies outside the hypothesis under which a formula holds."""
 
 
+def check_price(units: int, budget: int, what: str) -> None:
+    """Refuse work priced above its budget, before the first step of it."""
+    if units > budget:
+        raise HypothesisError(f"{what}: {units} work units, over the budget of {budget}")
+
+
 class ConsistencyError(ArithmeticError):
     """An exact identity that must hold failed: an implementation bug."""
 

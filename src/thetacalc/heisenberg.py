@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
+from .exactnum import ConsistencyError, CycNum, HypothesisError, check_price, extract_rational
 
 ORDER_BUDGET = 100_000  # group order, for the checks that walk every element
 CENSUS_BUDGET = 500_000  # |G| (2g+1) + classes^2, for irrep_census
@@ -197,14 +197,6 @@ def schrodinger_rep(m: int, n: int, g: int) -> SchrodingerRep:
     return rep
 
 
-def _check_budget(m: int, g: int) -> None:
-    order = m ** (2 * g + 1)
-    if order > ORDER_BUDGET:
-        raise HypothesisError(
-            f"group order {order} exceeds the brute-force budget {ORDER_BUDGET}"
-        )
-
-
 def _class_count(m: int, g: int) -> int:
     """Number of conjugacy classes, sum over w mod m of gcd(w, m)^{2g}.
 
@@ -212,17 +204,6 @@ def _class_count(m: int, g: int) -> int:
     classes itself.
     """
     return sum(math.gcd(w, m) ** (2 * g) for w in range(m))
-
-
-def _check_census_budget(m: int, g: int) -> None:
-    # Class closure takes |G| (2g+1) conjugations; the character rows and
-    # their norms take classes^2 products.
-    cost = m ** (2 * g + 1) * (2 * g + 1) + _class_count(m, g) ** 2
-    if cost > CENSUS_BUDGET:
-        raise HypothesisError(
-            f"census cost {cost} (|G| (2g+1) + classes^2) exceeds the "
-            f"budget {CENSUS_BUDGET}"
-        )
 
 
 def _norm_sum(
@@ -247,15 +228,17 @@ def _norm_sum(
 def check_schrodinger_irreducible(rep: SchrodingerRep) -> bool:
     """Exact character norm: (1/|G|) sum_h chi(h) conj(chi(h)) = 1."""
     m, g = rep.m, rep.g
-    _check_budget(m, g)
+    order = m ** (2 * g + 1)
+    check_price(order, ORDER_BUDGET, f"a walk over all {order} group elements")
     norm = _norm_sum(((rep.character(h), 1) for h in all_elements(m, g)), m, {})
-    return norm == m ** (2 * g + 1)
+    return norm == order
 
 
 def check_character_supported_on_center(rep: SchrodingerRep) -> bool:
     """chi vanishes at every element outside the center."""
     m, g = rep.m, rep.g
-    _check_budget(m, g)
+    order = m ** (2 * g + 1)
+    check_price(order, ORDER_BUDGET, f"a walk over all {order} group elements")
     for h in all_elements(m, g):
         if not h.is_central() and not rep.character(h).is_zero():
             return False
@@ -313,8 +296,11 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
         raise HypothesisError(f"modulus must be odd and positive, got {m}")
     if g < 1:
         raise HypothesisError(f"genus must be >= 1, got {g}")
-    _check_census_budget(m, g)
+    # Class closure takes |G| (2g+1) conjugations; the character rows and
+    # their norms take classes^2 products.
     order = m ** (2 * g + 1)
+    price = order * (2 * g + 1) + _class_count(m, g) ** 2
+    check_price(price, CENSUS_BUDGET, f"census of ({m}, {g}) needs |G| (2g+1) + classes^2")
     classes = _conjugacy_classes(m, g)
     reps = [h for h, _ in classes]
     central_index = next(

@@ -39,6 +39,7 @@ from .exactnum import (
     ConsistencyError,
     CycNum,
     HypothesisError,
+    check_price,
     euler_phi,
     extract_rational,
     sine_square,
@@ -150,21 +151,12 @@ def pgl_dim_charsum(q: PglQuery) -> int:
     return int(result)
 
 
-def check_coperiodic_budget(q: PglQuery) -> None:
-    """Refuse a coperiodic walk priced above COPERIODIC_BUDGET work units."""
-    subsets, phi = math.comb(q.n, q.r), euler_phi(q.n)
-    cost = subsets * phi * (1 + math.comb(q.r, 2) * phi)
-    if cost > COPERIODIC_BUDGET:
-        raise HypothesisError(
-            f"coperiodic walk over C({q.n}, {q.r}) = {subsets} subsets exceeds "
-            f"the budget: {cost} work units, above {COPERIODIC_BUDGET}"
-        )
-
-
 def pgl_dim_coperiodic(q: PglQuery) -> int:
     """Projective dimension as a twist-weighted sum over all subsets."""
-    check_coperiodic_budget(q)
     g, r, n, d = q.g, q.r, q.n, q.d
+    subsets, phi = math.comb(n, r), euler_phi(n)
+    price = subsets * phi * (1 + math.comb(r, 2) * phi)
+    check_price(price, COPERIODIC_BUDGET, f"coperiodic walk over C({n}, {r}) = {subsets} subsets")
     total = CycNum.from_rational(n, 0)
     for S in all_subsets(n, r):
         total = total + subset_term(S, g) * xi_weight(S, d, g)

@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ConsistencyError, CycNum, HypothesisError, extract_rational
+from . import verlinde
+from .exactnum import ConsistencyError, CycNum, HypothesisError, check_price, extract_rational
 from .torsion import (
     CharacterLabel,
     SymbolQuery,
@@ -95,13 +96,17 @@ def multiplicity(q: SplitQuery, omega: int) -> int:
     if omega < 1 or q.h % omega != 0:
         raise HypothesisError(f"{omega} does not divide {q.h}")
     g, r, k, h = q.g, q.r, q.k, q.h
-    total = Fraction(0)
+    terms = []
     for delta in divisors(h):
         sym = totient_symbol(SymbolQuery(h // omega, h // delta, g))
-        if sym == 0:
-            continue
-        vq = VerlindeQuery((h // delta) * (g - 1) + 1, r * delta, k * delta)
-        total += Fraction(1, (r + k) ** g * delta ** (2 * g)) * sym * v_number(vq)
+        if sym != 0:
+            vq = VerlindeQuery((h // delta) * (g - 1) + 1, r * delta, k * delta)
+            terms.append((Fraction(1, (r + k) ** g * delta ** (2 * g)) * sym, vq))
+    # Each genus >= 2 term is one residue sum: price them all before the first.
+    price = sum(verlinde.orbit_price(vq.n, vq.r) for _, vq in terms if vq.g >= 2)
+    what = f"the residue sums of m_{omega} over the divisors of h = {h}"
+    check_price(price, verlinde.RESIDUE_BUDGET, f"{what} need orbits x (pairs + cells)")
+    total = sum((c * v_number(vq) for c, vq in terms), Fraction(0))
     if total.denominator != 1 or total < 0:
         raise ConsistencyError(
             f"multiplicity came out {total} for (g, r, k, h, omega) = "

@@ -57,6 +57,7 @@ from .exactnum import (
     ConsistencyError,
     CycNum,
     HypothesisError,
+    check_price,
     extract_rational,
     factorize,
     sine_power,
@@ -219,11 +220,13 @@ def _root_of_order(n: int, p: int) -> int:
     raise ArithmeticError(f"no element of order {n} mod {p}")
 
 
-def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
     # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
     # Rows go through bincount in slices of at most 2^21 pair and histogram
     # cells, which bounds the temporaries and keeps the int32 flat index small.
+    # Also returns the columns some row uses: every other column is zero, so
+    # the merge sorts on the used ones only (lexsort costs ~140 bytes a key).
     width = n // 2 + 1
     idx_i, idx_j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # pairs i < j
     step = max(1, (_CHUNK << 6) // (len(idx_i) + width))
@@ -238,15 +241,17 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
             hist = np.bincount(delta.ravel(), minlength=width * len(rows)).reshape(-1, width)
             blocks.append((hist.astype(np.min_scalar_type(r)), weights[s : s + step]))
     hist, weights = map(np.concatenate, zip(*blocks))
-    order = np.lexsort(hist.T[::-1])
-    hist, weights = hist[order], weights[order]
+    cols = np.flatnonzero(hist.any(axis=0)).tolist()
+    if cols:
+        order = np.lexsort([hist[:, d] for d in reversed(cols)])
+        hist, weights = hist[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], (hist[1:] != hist[:-1]).any(axis=1))))
-    return hist[starts], np.add.reduceat(weights, starts)
+    return hist[starts], np.add.reduceat(weights, starts), cols
 
 
 @lru_cache(maxsize=None)
-def _valuation_weights(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    # Per prime power q = p^a || n: (p, phi(q), pairs (d, w_d)) for the d
+def _valuation_weights(n: int) -> tuple[tuple[int, int, dict[int, int]], ...]:
+    # Per prime power q = p^a || n: (p, phi(q), {d: w_d}) for the d
     # with m_d = n / gcd(n, d) = p^b, w_d = 2 p^{a-b}, so that w_d / phi(q) =
     # 2 / phi(m_d) is the p-adic valuation of s_d = 2 - zeta^d - zeta^{-d};
     # every other s_d is a unit at p.  m_d divides q exactly when d = (n/q) j,
@@ -254,37 +259,39 @@ def _valuation_weights(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], .
     out = []
     for p, a in factorize(n):
         q = p**a
-        pairs = tuple((n // q * j, 2 * math.gcd(q, j)) for j in range(1, q // 2 + 1))
-        out.append((p, q // p * (p - 1), pairs))
+        weight = {n // q * j: 2 * math.gcd(q, j) for j in range(1, q // 2 + 1)}
+        out.append((p, q // p * (p - 1), weight))
     return tuple(out)
 
 
-def _clearing_denominator(n: int, g: int, hist: np.ndarray) -> int:
+def _clearing_denominator(n: int, g: int, hist: np.ndarray, cols: list[int]) -> int:
     """D = prod_{p | n} p^{E_p} with the orbit sum times D an integer.
 
     A term prod_d s_d^{(1-g) h_d} has p-adic valuation (1-g) sum_d h_d v_p(s_d)
     and is a unit away from the primes over n, so E_p is the largest
-    (g-1) sum_d h_d v_p(s_d) over the rows, rounded up.
+    (g-1) sum_d h_d v_p(s_d) over the rows, rounded up.  Only the columns
+    cols, those some row uses, can contribute.
     """
     denom = 1
-    for p, phi, pairs in _valuation_weights(n):
-        top = (g - 1) * int(sum(w * hist[:, d].astype(np.int64) for d, w in pairs).max())
+    for p, phi, weight in _valuation_weights(n):
+        used = (weight[d] * hist[:, d].astype(np.int64) for d in cols if d in weight)
+        top = (g - 1) * int(sum(used, np.zeros(len(hist), np.int64)).max())
         denom *= p ** -(-top // phi)
     return denom
 
 
-def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, denom: int) -> int:
+def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], denom: int) -> int:
     """Bits b such that every modulus M >= 2^b exceeds 2 |sum * denom| + 1."""
     # Every term is positive and the orbit sizes add up to C(n, r), so
     # log2 sum <= log2 C(n, r) + (g-1) max_h sum_d h_d c_d with
-    # c_d = -log2 4 sin^2(pi d / n).
-    cost = [-math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in range(1, n // 2 + 1)]
+    # c_d = -log2 4 sin^2(pi d / n), over the used columns d.
+    cost = {d: -math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in cols}
     e = (g - 1) * (r * (r - 1) // 2)
-    rows = sum((hist[:, d] * c for d, c in enumerate(cost, 1)), np.zeros(len(hist)))
+    rows = sum((hist[:, d] * c for d, c in cost.items()), np.zeros(len(hist)))
     top = (g - 1) * float(rows.max())
     log_bound = math.log2(math.comb(n, r)) + top + math.log2(denom)
     # Float error: each c_d is off by under 2^-47 (1 + |c_d|) (sin is well
-    # conditioned on (0, pi/2]), |c_d| <= 2 log2 n, and a row sums n/2
+    # conditioned on (0, pi/2]), |c_d| <= 2 log2 n, and a row sums <= n/2
     # products whose counts h_d add up to C(r, 2), so top is off by under
     # e (n + 2)(1 + 2 log2 n) 2^-47, with room to spare for the roundings
     # of the logs and sums above.  top and log2 denom nearly cancel at large
@@ -309,32 +316,33 @@ def _crt_primes(n: int, bits: int) -> tuple[int, ...]:
     )
 
 
-def _check_residue_price(n: int, r: int, price: int, what: str) -> None:
-    if price > RESIDUE_BUDGET:
-        raise HypothesisError(
-            f"the residue sum over C({n}, {r}) = {math.comb(n, r)} subsets needs {what}: "
-            f"{price} work units, over the budget of {RESIDUE_BUDGET}"
-        )
+def orbit_price(n: int, r: int) -> int:
+    """Work units of a residue sum before its first orbit.
+
+    About C(n, r) / n orbits, each C(r, 2) pair differences and n/2 + 1
+    histogram cells.  `_v_modular` charges it against RESIDUE_BUDGET, and
+    `splitting.multiplicity` charges the sum over its terms before the first.
+    """
+    return -(-math.comb(n, r) // n) * (r * (r - 1) // 2 + n // 2 + 1)
 
 
 def _v_modular(n: int, r: int, g: int) -> Fraction:
     """Orbit sum via residues mod primes p = 1 (mod n), reconstructed by CRT."""
     _crt_primes(n, 0)  # refuse at once when there is no such prime at all (memoised per n)
-    # Before the first orbit: about C(n, r) / n orbits, each C(r, 2) pair
-    # differences and n/2 + 1 histogram cells.  Before the first prime: one
-    # gather per distinct row, column and prime.
-    orbits = -(-math.comb(n, r) // n)
-    cells = r * (r - 1) // 2 + n // 2 + 1
-    _check_residue_price(n, r, orbits * cells, "orbits x (pairs + cells)")
-    hist, weights = _distinct_histograms(n, r)
-    denom = _clearing_denominator(n, g, hist)
-    primes = _crt_primes(n, _modulus_bits(n, r, g, hist, denom))
-    _check_residue_price(n, r, len(primes) * len(hist) * (n // 2), "primes x rows x columns")
+    what = f"the residue sum over C({n}, {r}) = {math.comb(n, r)} subsets needs"
+    check_price(orbit_price(n, r), RESIDUE_BUDGET, f"{what} orbits x (pairs + cells)")
+    # Columns no row uses multiply every term by T[0] = 1; they are skipped.
+    hist, weights, cols = _distinct_histograms(n, r)
+    denom = _clearing_denominator(n, g, hist, cols)
+    primes = _crt_primes(n, _modulus_bits(n, r, g, hist, cols, denom))
+    # Before the first prime: one gather per distinct row, used column and prime.
+    gathers = len(primes) * len(hist) * len(cols)
+    check_price(gathers, RESIDUE_BUDGET, f"{what} primes x rows x columns")
     total, mod = 0, 1
     for p in primes:
         w = _root_of_order(n, p)
         acc = weights % p * (denom % p) % p  # residues of sum * denom
-        for d in range(1, n // 2 + 1):
+        for d in cols:
             # Gather from T[h] = s_d^{(1-g) h} mod p, one column per d.
             base = pow((2 - pow(w, d, p) - pow(w, n - d, p)) % p, (1 - g) % (p - 1), p)
             table = np.array([pow(base, h, p) for h in range(r + 1)])

@@ -220,42 +220,33 @@ class TestExitCodes:
         assert line.startswith("hypothesis violated:")
         assert "below 2^31" in line
 
-    def test_oversized_census_refuses_fast(self, capsys):
+    @pytest.mark.parametrize(
+        "argv,fact",
+        [
+            # |G| (2g+1) + classes^2 = 59049 * 5 + 6729^2.
+            (("heisenberg", "census", "--m", "9", "--genus", "2"), "45574686 work units"),
+            # C(23, 11) subsets: the coperiodic walk would run for minutes.
+            (("pgl", "--genus", "2", "--rank", "11", "--level", "12", "--d", "1"),
+             "1352078 subsets"),
+            # C(40, 12) subsets: the residue sum would run for hours.
+            (("v", "--genus", "2", "--rank", "12", "--level", "28"), "5586853480 subsets"),
+            # The h = 25 divisor alone needs C(125, 50) subsets; the summed
+            # price refuses before the first divisor's sum.
+            (("split", "--genus", "3", "--rank", "2", "--level", "3", "--h", "25"),
+             "residue sums of m_1 over the divisors of h = 25"),
+        ],
+        ids=["census", "pgl", "v", "split"],
+    )
+    def test_oversized_work_refuses_fast(self, capsys, argv, fact):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "heisenberg", "census", "--m", "9", "--genus", "2")
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
-        assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("hypothesis violated:")
-        assert "budget" in line
-
-    def test_oversized_coperiodic_walk_refuses_before_either_route(self, capsys):
-        # C(23, 11) = 1 352 078 subsets: the walk would run for minutes.
-        start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, "pgl", "--genus", "2", "--rank", "11", "--level", "12", "--d", "1"
-        )
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert out == ""
-        assert "Traceback" not in err
-        (line,) = err.splitlines()
-        assert line.startswith("hypothesis violated:")
-        assert "1352078 subsets" in line and "budget" in line
-
-    def test_oversized_residue_sum_refuses_before_the_first_orbit(self, capsys):
-        # C(40, 12) = 5.6e9 subsets: the residue sum would run for hours.
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "v", "--genus", "2", "--rank", "12", "--level", "28")
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert out == ""
-        assert "Traceback" not in err
-        (line,) = err.splitlines()
-        assert line.startswith("hypothesis violated:")
-        assert "5586853480 subsets" in line and "budget" in line
+        assert "work units, over the budget of" in line
+        assert fact in line
 
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")

@@ -15,6 +15,8 @@ from thetacalc import exactnum
 from thetacalc.exactnum import (
     ConsistencyError,
     CycNum,
+    HypothesisError,
+    check_price,
     cyclotomic_polynomial,
     euler_phi,
     extract_rational,
@@ -27,6 +29,13 @@ from thetacalc.exactnum import (
 def test_doctests():
     failures, _ = doctest.testmod(exactnum)
     assert failures == 0
+
+
+def test_price_at_the_budget_is_admitted_and_one_more_unit_refused():
+    check_price(5, 5, "a walk")
+    with pytest.raises(HypothesisError) as info:
+        check_price(6, 5, "a walk")
+    assert str(info.value) == "a walk: 6 work units, over the budget of 5"
 
 
 def test_cyclotomic_polynomial_small_values():

@@ -42,7 +42,8 @@ class TestValidation:
         # phi(19) = 18: the price is C(19, 9) phi (1 + C(9, 2) phi).
         assert math.comb(19, 9) * 18 * (1 + math.comb(9, 2) * 18) > COPERIODIC_BUDGET
         start = time.perf_counter()
-        with pytest.raises(HypothesisError, match="92378 subsets exceeds the budget"):
+        match = "C\\(19, 9\\) = 92378 subsets: 1079159796 work units, over the budget of"
+        with pytest.raises(HypothesisError, match=match):
             pgl_dim_coperiodic(PglQuery(2, 9, 10, 1))
         assert time.perf_counter() - start < 0.1
 
@@ -52,9 +53,13 @@ class TestValidation:
         [PglQuery(2, 1, 19999, 1), PglQuery(2, 3, 46, 1)],
     )
     def test_walk_priced_by_its_work_refuses(self, q):
-        assert math.comb(q.n, q.r) <= 20_000
+        subsets = math.comb(q.n, q.r)
+        assert subsets <= 20_000
+        # C(n, r) phi(n) (1 + C(r, 2) phi(n)): phi(20 000) = 8 000, phi(49) = 42.
+        price = {(1, 19999): 160_000_000, (3, 46): 98_273_616}[q.r, q.k]
+        match = f"{subsets} subsets: {price} work units, over the budget of"
         start = time.perf_counter()
-        with pytest.raises(HypothesisError, match="work units, above"):
+        with pytest.raises(HypothesisError, match=match):
             pgl_dim_coperiodic(q)
         assert time.perf_counter() - start < 0.1
 

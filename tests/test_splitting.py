@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetacalc import verlinde
 from thetacalc.exactnum import HypothesisError
 from thetacalc.splitting import (
     SplitQuery,
@@ -58,6 +59,20 @@ class TestValidation:
         q = SplitQuery(1, 1, 1, 3)
         with pytest.raises(HypothesisError, match="match"):
             multiplicity_oracle(q, CharacterLabel(5, (0, 0)))
+
+    def test_multiplicity_prices_all_its_sums_before_the_first(self, monkeypatch):
+        # m_1 for (g, r, k, h) = (2, 1, 1, 3) needs v_4(1, 1) and v_2(3, 3),
+        # priced at 2 and 28 units: each fits a budget of 28, their sum not.
+        monkeypatch.setattr(verlinde, "RESIDUE_BUDGET", 28)
+        assert verlinde._v_modular(2, 1, 4) == 16
+        assert verlinde._v_modular(6, 3, 2) == verlinde._v_exact(6, 3, 2)
+
+        def no_orbits(*args):
+            raise AssertionError("enumerated orbits past the budget")
+
+        monkeypatch.setattr(verlinde, "_necklace_blocks", no_orbits)
+        with pytest.raises(HypothesisError, match="30 work units, over the budget of 28"):
+            multiplicity(SplitQuery(2, 1, 1, 3), 1)
 
 
 class TestWorkedValues:

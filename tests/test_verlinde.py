@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -304,7 +305,7 @@ def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
 
 def test_mirror_orbits_share_histograms():
     for n, r in [(13, 6), (14, 7)]:
-        hist, weights = _distinct_histograms(n, r)
+        hist, weights, _ = _distinct_histograms(n, r)
         assert len(hist) < sum(1 for _ in necklace_orbits(n, r))
         assert int(weights.sum()) == math.comb(n, r)
 
@@ -323,9 +324,9 @@ def test_prime_test_agrees_with_trial_division():
 def _assert_modulus_covers(n, r, g):
     # D divides the old clearing factor n^{2e}, the orbit sum times D is an
     # integer, and the CRT modulus recovers it with its sign.
-    hist, _ = _distinct_histograms(n, r)
-    denom = _clearing_denominator(n, g, hist)
-    modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist, denom)))
+    hist, _, cols = _distinct_histograms(n, r)
+    denom = _clearing_denominator(n, g, hist, cols)
+    modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist, cols, denom)))
     e = (g - 1) * math.comb(r, 2)
     assert n ** (2 * e) % denom == 0, (g, n, r)
     scaled = _v_exact(n, r, g) / Fraction(n) ** (r * (g - 1)) * denom
@@ -349,8 +350,8 @@ def test_crt_modulus_covers_the_value_and_beats_the_worst_case():
         if modulus > 2 * bound + 1:
             break
         old, modulus = old + 1, modulus * p
-    hist, _ = _distinct_histograms(n, r)
-    bits = _modulus_bits(n, r, g, hist, _clearing_denominator(n, g, hist))
+    hist, _, cols = _distinct_histograms(n, r)
+    bits = _modulus_bits(n, r, g, hist, cols, _clearing_denominator(n, g, hist, cols))
     assert len(_crt_primes(n, bits)) < old
 
 
@@ -371,8 +372,8 @@ def test_denominator_clears_every_term_and_no_more():
     for g in (2, 3):
         for n in range(2, 13):
             for r in range(2, n):
-                hist, _ = _distinct_histograms(n, r)
-                denom = _clearing_denominator(n, g, hist)
+                hist, _, cols = _distinct_histograms(n, r)
+                denom = _clearing_denominator(n, g, hist, cols)
                 terms = []
                 for members, _ in necklace_orbits(n, r):
                     term = CycNum.from_rational(n, 1)
@@ -456,6 +457,15 @@ def test_int32_indices_hold_past_two_to_the_fifteen():
     assert sorted(folded) == list(range(1, n // 2 + 1))
     k = 39_999
     assert v_number(VerlindeQuery(2, 1, k)) == (k + 1) ** 2
+
+
+def test_wide_rank_one_sum_skips_the_unused_columns():
+    # Rank 1 has no pair differences, so its one histogram row is all zero:
+    # none of its n/2 columns is gathered, and no sine power is taken.
+    start = time.perf_counter()
+    assert v_number(VerlindeQuery(2, 1, 999_999)) == 10**12
+    assert time.perf_counter() - start < 1.0
+    assert _distinct_histograms(10**6, 1)[2] == []
 
 
 def test_wide_rank_two_sum_matches_the_float_oracle():
