@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 from .exactnum import ConsistencyError, CycNum, HypothesisError, check_price, extract_rational
 
-ORDER_BUDGET = 100_000  # group order, for the checks that walk every element
+ORDER_BUDGET = 1_000_000  # |G| m^g, for the checks that walk every element
 CENSUS_BUDGET = 500_000  # |G| (2g+1) + classes^2, for irrep_census
 
 
@@ -225,24 +225,27 @@ def _norm_sum(
     return extract_rational(total)
 
 
+def _character_walk(rep: SchrodingerRep) -> Iterator[tuple[HeisenbergElement, CycNum]]:
+    """(h, chi(h)) for every group element h, priced before the first.
+
+    Each character value reads the action on all m^g basis vectors, so the
+    walk costs |G| m^g units against ORDER_BUDGET.
+    """
+    order = rep.m ** (2 * rep.g + 1)
+    what = f"a walk over all {order} group elements x {rep.dim} basis vectors"
+    check_price(order * rep.dim, ORDER_BUDGET, what)
+    return ((h, rep.character(h)) for h in all_elements(rep.m, rep.g))
+
+
 def check_schrodinger_irreducible(rep: SchrodingerRep) -> bool:
     """Exact character norm: (1/|G|) sum_h chi(h) conj(chi(h)) = 1."""
-    m, g = rep.m, rep.g
-    order = m ** (2 * g + 1)
-    check_price(order, ORDER_BUDGET, f"a walk over all {order} group elements")
-    norm = _norm_sum(((rep.character(h), 1) for h in all_elements(m, g)), m, {})
-    return norm == order
+    norm = _norm_sum(((chi, 1) for _, chi in _character_walk(rep)), rep.m, {})
+    return norm == rep.m ** (2 * rep.g + 1)
 
 
 def check_character_supported_on_center(rep: SchrodingerRep) -> bool:
     """chi vanishes at every element outside the center."""
-    m, g = rep.m, rep.g
-    order = m ** (2 * g + 1)
-    check_price(order, ORDER_BUDGET, f"a walk over all {order} group elements")
-    for h in all_elements(m, g):
-        if not h.is_central() and not rep.character(h).is_zero():
-            return False
-    return True
+    return all(h.is_central() or chi.is_zero() for h, chi in _character_walk(rep))
 
 
 def _conjugacy_classes(m: int, g: int) -> list[tuple[HeisenbergElement, int]]:

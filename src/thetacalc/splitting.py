@@ -141,23 +141,13 @@ def multiplicity_oracle(q: SplitQuery, xi: CharacterLabel) -> Fraction:
     return extract_rational(total) / (Fraction(r) ** g * h ** (2 * g))
 
 
-def check_rank_consistency(q: SplitQuery, pointwise: bool = False) -> bool:
+def check_rank_consistency(q: SplitQuery) -> bool:
     """sum over characters of multiplicity * r^g equals the full dimension.
 
     The sum over all h^{2g} characters is collapsed into order classes
-    weighted by count_order; pointwise=True re-enumerates every character
-    individually as a slow cross-check.
+    weighted by count_order.
     """
     g, r, k, h = q.g, q.r, q.k, q.h
-    if pointwise:
-        lhs = 0
-        for coords in all_points(h, g):
-            omega = h // math.gcd(h, *coords)
-            lhs += multiplicity(q, omega) * r**g
-    else:
-        lhs = sum(
-            count_order(h, omega, g) * multiplicity(q, omega) * r**g
-            for omega in divisors(h)
-        )
+    lhs = sum(count_order(h, omega, g) * multiplicity(q, omega) * r**g for omega in divisors(h))
     rhs = verlinde_dim(VerlindeQuery(g, h * r, h * k))
     return lhs == rhs

@@ -63,7 +63,7 @@ from .exactnum import (
     sine_power,
 )
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 20  # cells (rows x columns) in one block of the residue pipeline
 RESIDUE_BUDGET = 50_000_000  # work units; `_v_modular` prices each call
 
 
@@ -125,12 +125,17 @@ def subset_term(S: SubsetS, g: int) -> CycNum:
     return term
 
 
-def _necklace_blocks(n: int, r: int, t: int = 1, frontier: tuple = ()) -> Iterator[tuple]:
-    # Necklace representatives (r >= 1) as (members, orbit sizes) blocks of at
-    # most _CHUNK rows.  A frontier row has fixed gaps w[1..t-1] (w[0] = 1 is a
-    # sentinel), its prenecklace period p and the sum still to place, rest;
-    # gap t ranges over [w[t-p], rest - (r-t)].  Every index is int32 (n is
-    # below 2^31, as `_primes_one_mod` requires); orbit sizes are int64.
+def _necklace_blocks(
+    n: int, r: int, row_cells: int | None = None, t: int = 1, frontier: tuple = ()
+) -> Iterator[tuple]:
+    # Necklace representatives (r >= 1) as (members, orbit sizes) blocks of
+    # max(1, _CHUNK // row_cells) rows, where row_cells is what one row costs
+    # the caller in cells (by default its own r + 1 gaps).  A frontier row has
+    # fixed gaps w[1..t-1] (w[0] = 1 is a sentinel), its prenecklace period p
+    # and the sum still to place, rest; gap t ranges over
+    # [w[t-p], rest - (r-t)].  Every index is int32 (n is below 2^31, as
+    # `_primes_one_mod` requires); orbit sizes are int64.
+    rows = max(1, _CHUNK // (row_cells or r + 1))
     ones = np.ones((1, r + 1), np.int32)
     gaps, period, rest = frontier or (ones, ones[:, 0], np.full(1, n, np.int32))
     lo = gaps[np.arange(len(gaps)), t - period]
@@ -141,23 +146,23 @@ def _necklace_blocks(n: int, r: int, t: int = 1, frontier: tuple = ()) -> Iterat
         keep = (rest >= lo) & (r % q == 0)
         members = np.cumsum(gaps[keep, :r], axis=1, dtype=np.int32)
         weights = n * q[keep].astype(np.int64) // r
-        for s in range(0, len(weights), _CHUNK):
-            yield members[s : s + _CHUNK], weights[s : s + _CHUNK]
+        for s in range(0, len(weights), rows):
+            yield members[s : s + rows], weights[s : s + rows]
         return
     count = np.maximum(rest - (r - t) - lo + 1, 0)
     ends = np.cumsum(count)
     first = ends - count
     start = 0
     while start < len(gaps):
-        # Expand, depth first, the next parents whose children fill one
-        # block (one parent at least), so memory stays per block.
-        stop = max(int(np.searchsorted(ends, first[start] + _CHUNK, "right")), start + 1)
+        # Expand, depth first, the next parents whose children fill a block
+        # (one parent at least), so each of the r levels holds about one.
+        stop = max(int(np.searchsorted(ends, first[start] + rows, "right")), start + 1)
         parent = np.repeat(np.arange(start, stop), count[start:stop])
         c = lo[parent] + (np.arange(first[start], ends[stop - 1]) - first[parent]).astype(np.int32)
         child = gaps[parent]
         child[:, t] = c
         period_c = np.where(c == lo[parent], period[parent], t)
-        yield from _necklace_blocks(n, r, t + 1, (child, period_c, rest[parent] - c))
+        yield from _necklace_blocks(n, r, row_cells, t + 1, (child, period_c, rest[parent] - c))
         start = stop
 
 
@@ -223,23 +228,19 @@ def _root_of_order(n: int, p: int) -> int:
 def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
     # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
-    # Rows go through bincount in slices of at most 2^21 pair and histogram
-    # cells, which bounds the temporaries and keeps the int32 flat index small.
+    # Blocks are sized by a row's C(r, 2) pair and n//2 + 1 histogram cells.
     # Also returns the columns some row uses: every other column is zero, so
     # the merge sorts on the used ones only (lexsort costs ~140 bytes a key).
     width = n // 2 + 1
     idx_i, idx_j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # pairs i < j
-    step = max(1, (_CHUNK << 6) // (len(idx_i) + width))
     blocks = []
-    for members, weights in _necklace_blocks(n, r):
-        for s in range(0, len(weights), step):
-            rows = members[s : s + step]
-            delta = rows[:, idx_j]
-            delta -= rows[:, idx_i]
-            np.minimum(delta, n - delta, out=delta)
-            delta += width * np.arange(len(rows), dtype=np.int32)[:, None]
-            hist = np.bincount(delta.ravel(), minlength=width * len(rows)).reshape(-1, width)
-            blocks.append((hist.astype(np.min_scalar_type(r)), weights[s : s + step]))
+    for members, weights in _necklace_blocks(n, r, len(idx_i) + width):
+        delta = members[:, idx_j]
+        delta -= members[:, idx_i]
+        np.minimum(delta, n - delta, out=delta)
+        delta += width * np.arange(len(members), dtype=np.int32)[:, None]
+        hist = np.bincount(delta.ravel(), minlength=width * len(members)).reshape(-1, width)
+        blocks.append((hist.astype(np.min_scalar_type(r)), weights))
     hist, weights = map(np.concatenate, zip(*blocks))
     cols = np.flatnonzero(hist.any(axis=0)).tolist()
     if cols:
@@ -396,9 +397,12 @@ def v_number(q: VerlindeQuery) -> Fraction:
     return _v_number_cached(q.g, q.r, q.k)
 
 
-def v_number_float(q: VerlindeQuery, prec_bits: int = 80) -> float:
-    """Floating-point v_g(r, k); never authoritative."""
-    return float(_v_float(q.n, q.r, q.g, prec_bits))
+def v_number_float(q: VerlindeQuery) -> float:
+    """v_g(r, k) rounded to the nearest float; inf past the float range."""
+    try:
+        return float(v_number(q))
+    except OverflowError:
+        return math.inf
 
 
 def verlinde_dim(q: VerlindeQuery) -> int:

@@ -154,6 +154,16 @@ class TestIrreducibility:
         with pytest.raises(HypothesisError, match="budget"):
             check_schrodinger_irreducible(SchrodingerRep(7, 1, 3))
 
+    def test_walk_prices_the_basis_vectors_behind_each_value(self):
+        # |G| = 5^7 alone is under the budget, but each character value reads
+        # 5^3 basis vectors: 9 765 625 units, refused before the first element.
+        rep = schrodinger_rep(5, 1, 3)
+        for check in (check_schrodinger_irreducible, check_character_supported_on_center):
+            start = time.perf_counter()
+            with pytest.raises(HypothesisError, match="9765625 work units"):
+                check(rep)
+            assert time.perf_counter() - start < 1.0
+
 
 def _classes_by_full_conjugation(m, g):
     # Oracle: conjugate each new representative by every group element.

@@ -142,11 +142,6 @@ class TestRankConsistency:
     def test_order_class_sum(self, g, r, k, h):
         assert check_rank_consistency(SplitQuery(g, r, k, h))
 
-    def test_pointwise_matches_collapsed(self):
-        q = SplitQuery(1, 1, 1, 3)
-        assert check_rank_consistency(q, pointwise=True)
-        assert check_rank_consistency(q, pointwise=False)
-
 
 class TestSymmetry:
     def test_multiplicity_level_rank(self):

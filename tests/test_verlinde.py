@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,24 @@ def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
             assert _v_exact(n, r, g) == _v_modular(n, r, g)
 
 
+def test_wide_rows_keep_the_enumerator_frontier_small():
+    # v_2(46, 5): about 46 000 orbits whose rows cost C(46, 2) + 26 cells.
+    # Blocks sized in cells hold each of the 46 enumerator levels to about
+    # one block; blocks of 2^15 rows at every level peaked at 250 MB here.
+    code = (
+        "import resource\n"
+        "from thetacalc.verlinde import _v_modular\n"
+        "print(_v_modular(51, 46, 2), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verlinde.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    value, peak_kb = out.split()
+    assert value == "390959316812916605374488"
+    assert int(peak_kb) < 120 * 1024
+
+
 def test_mirror_orbits_share_histograms():
     for n, r in [(13, 6), (14, 7)]:
         hist, weights, _ = _distinct_histograms(n, r)
@@ -435,8 +457,15 @@ def test_float_agreement():
         for n in range(2, 9):
             for r in range(1, n):
                 exact = float(v_number(VerlindeQuery(g, r, n - r)))
-                approx = v_number_float(VerlindeQuery(g, r, n - r))
+                approx = float(_v_float(n, r, g))
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def test_float_value_rounds_the_exact_value():
+    q = VerlindeQuery(2, 9, 16)
+    assert v_number_float(q) == float(v_number(q))
+    # v_200(4, 4) is past the float range: float(Fraction) would raise.
+    assert v_number_float(VerlindeQuery(200, 4, 4)) == math.inf
 
 
 def test_v_number_is_memoized():
