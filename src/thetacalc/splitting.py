@@ -129,15 +129,18 @@ def multiplicity_oracle(q: SplitQuery, xi: CharacterLabel) -> Fraction:
             f"character on (Z/{xi.h})^{2 * xi.g} does not match query "
             f"(Z/{h})^{2 * g}"
         )
+    points = all_points(h, g)  # priced here, before any trace
+    # Every delta | h is the order of some point; the traces, and the
+    # residue prices behind them, also come before the walk.
+    trace = {delta: trace_of_torsion(q, delta).value for delta in divisors(h)}
     # tally[delta][c]: points alpha of order delta with xi(alpha^{-1}) = zeta^c.
-    tally: dict[int, list[int]] = {}
-    for coords in all_points(h, g):
-        delta = h // math.gcd(h, *coords)
+    tally = {delta: [0] * h for delta in trace}
+    for coords in points:
         c = sum(x * a for x, a in zip(xi.coords, coords))
-        tally.setdefault(delta, [0] * h)[-c % h] += 1
+        tally[h // math.gcd(h, *coords)][-c % h] += 1
     total = CycNum.from_rational(h, 0)
-    for delta, counts in sorted(tally.items()):
-        total = total + CycNum.from_poly(h, counts) * trace_of_torsion(q, delta).value
+    for delta, counts in tally.items():
+        total = total + CycNum.from_poly(h, counts) * trace[delta]
     return extract_rational(total) / (Fraction(r) ** g * h ** (2 * g))
 
 

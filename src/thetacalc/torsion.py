@@ -30,9 +30,12 @@ from fractions import Fraction
 from .exactnum import (
     CycNum,
     HypothesisError,
+    check_price,
     extract_rational,
     factorize,
 )
+
+POINT_BUDGET = 1_000_000  # points; `all_points` prices each walk
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,14 @@ def check_count_partition(m: int, g: int) -> bool:
 
 
 def all_points(h: int, g: int) -> "itertools.product":
-    """Iterator over all of (Z/h)^{2g} as coordinate tuples."""
+    """Iterator over all of (Z/h)^{2g} as coordinate tuples.
+
+    The one walk behind `character_order_sum` and
+    `splitting.multiplicity_oracle`: priced at h^{2g} points against
+    POINT_BUDGET before the first.
+    """
+    what = f"the walk over all of (Z/{h})^{2 * g} needs h^(2g) points"
+    check_price(h ** (2 * g), POINT_BUDGET, what)
     return itertools.product(range(h), repeat=2 * g)
 
 

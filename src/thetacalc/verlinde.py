@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -225,7 +226,36 @@ def _root_of_order(n: int, p: int) -> int:
     raise ArithmeticError(f"no element of order {n} mod {p}")
 
 
+# (n, r) -> _distinct_histograms(n, r), least recently used first.  The
+# rows do not depend on the genus, so a sweep over g merges them once.
+_HISTOGRAMS: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray, list[int]]] = OrderedDict()
+_HISTOGRAMS_LOCK = threading.Lock()
+
+
 def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    # Kept in _HISTOGRAMS, read-only, while all entries together hold at most
+    # _CHUNK cells (hist.size + weights.size); a larger result is not kept.
+    # The key is (n, r) as called, never (n, n - r): level-rank compares two
+    # separate enumerations.
+    key = (n, r)
+    with _HISTOGRAMS_LOCK:
+        if key in _HISTOGRAMS:
+            _HISTOGRAMS.move_to_end(key)
+            return _HISTOGRAMS[key]
+    out = hist, weights, _ = _merge_histograms(n, r)
+    cells = hist.size + weights.size
+    if cells <= _CHUNK:
+        hist.flags.writeable = weights.flags.writeable = False
+        with _HISTOGRAMS_LOCK:
+            kept = sum(h.size + w.size for h, w, _ in _HISTOGRAMS.values())
+            while kept + cells > _CHUNK:
+                h, w, _ = _HISTOGRAMS.popitem(last=False)[1]
+                kept -= h.size + w.size
+            _HISTOGRAMS[key] = out
+    return out
+
+
+def _merge_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
     # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
     # Blocks are sized by a row's C(r, 2) pair and n//2 + 1 histogram cells.

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
 
 from thetacalc import cli, verlinde
-from thetacalc.exactnum import HypothesisError
+from thetacalc.exactnum import ConsistencyError, HypothesisError
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +249,23 @@ class TestExitCodes:
         assert "work units, over the budget of" in line
         assert fact in line
 
+    @pytest.mark.parametrize(
+        "argv,digits",
+        [
+            (("v", "--genus", "5000", "--rank", "2", "--level", "3"), 6287),
+            (("dim", "--genus", "20000", "--rank", "3", "--level", "3"), 31125),
+        ],
+        ids=["v", "dim"],
+    )
+    def test_values_past_the_str_digit_limit_print(self, capsys, argv, digits):
+        # CPython converts at most 4 300 digits by default; run lifts the
+        # limit for its own call and restores the caller's setting.
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.strip().isdigit() and len(out.strip()) == digits
+        assert sys.get_int_max_str_digits() == limit
+
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         _, out, err = run_cli(capsys, "dim", "--genus", "1", "--rank", "1", "--level", "1")
         assert "elapsed_ms" not in out
@@ -279,14 +297,39 @@ class TestIdentities:
         assert "FAIL always failing probe: probe detail" in out
         assert out.splitlines()[-1] == "passed 0 of 1"
 
-    def test_case_raising_hypothesis_error_is_reported_not_fatal(self, capsys, monkeypatch):
+    def test_case_raising_hypothesis_error_exits_1(self, capsys, monkeypatch):
+        # A refused price or hypothesis is no failed identity.
         def boom(ranges):
             raise HypothesisError("synthetic violation")
 
         monkeypatch.setattr(cli, "IDENTITY_CASES", (("raising probe", boom),))
+        code, out, err = run_cli(capsys, "identities")
+        assert code == 1
+        assert "FAIL" not in out
+        assert err.splitlines() == ["hypothesis violated: synthetic violation"]
+
+    def test_case_raising_consistency_error_is_a_failure(self, capsys, monkeypatch):
+        def boom(ranges):
+            raise ConsistencyError("synthetic mismatch")
+
+        monkeypatch.setattr(cli, "IDENTITY_CASES", (("raising probe", boom),))
         code, out, _ = run_cli(capsys, "identities")
         assert code == 2
-        assert "FAIL raising probe: synthetic violation" in out
+        assert "FAIL raising probe: synthetic mismatch" in out
+        assert out.splitlines()[-1] == "passed 0 of 1"
+
+    def test_unpriced_torsion_walk_refuses_fast(self, capsys, tmp_path):
+        # h = 1001 at genus 1: the Fourier oracle would walk 1001^2 points.
+        path = tmp_path / "range.txt"
+        path.write_text("h_list=1001\ng_max=1\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "identities", "--range-spec", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "FAIL" not in out
+        (line,) = err.splitlines()
+        assert line.startswith("hypothesis violated: the walk over all of (Z/1001)^2")
+        assert "1002001 work units, over the budget of 1000000" in line
 
 
 class TestRangeSpecParsing:

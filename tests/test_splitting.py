@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetacalc import verlinde
+from thetacalc import splitting, verlinde
 from thetacalc.exactnum import HypothesisError
 from thetacalc.splitting import (
     SplitQuery,
@@ -73,6 +73,27 @@ class TestValidation:
         monkeypatch.setattr(verlinde, "_necklace_blocks", no_orbits)
         with pytest.raises(HypothesisError, match="30 work units, over the budget of 28"):
             multiplicity(SplitQuery(2, 1, 1, 3), 1)
+
+
+    def test_oracle_prices_its_walk_and_its_traces_before_walking(self, monkeypatch):
+        def no_walk(h, g):
+            yield from ()
+            raise AssertionError("walked the torsion points past a refused price")
+
+        # h = 31 at g = 2: 923 521 points fit the walk's budget, but the
+        # order-1 trace needs v_2(31, 31), which the residue price refuses.
+        monkeypatch.setattr(splitting, "all_points", no_walk)
+        with pytest.raises(HypothesisError, match="C\\(62, 31\\)"):
+            multiplicity_oracle(SplitQuery(2, 1, 1, 31), _character_of_order(31, 2, 31))
+        monkeypatch.undo()
+
+        def no_trace(q, delta):
+            raise AssertionError("took a trace past a refused walk")
+
+        # h = 1001 at g = 1: the walk's own price refuses first.
+        monkeypatch.setattr(splitting, "trace_of_torsion", no_trace)
+        with pytest.raises(HypothesisError, match="1002001 work units"):
+            multiplicity_oracle(SplitQuery(1, 1, 1, 1001), _character_of_order(1001, 1, 1))
 
 
 class TestWorkedValues:

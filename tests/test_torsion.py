@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from thetacalc import torsion
 from thetacalc.exactnum import HypothesisError
 from thetacalc.torsion import (
     CharacterLabel,
     SymbolQuery,
     TorsionPoint,
+    all_points,
     character_order_sum,
     character_order_sum_formula,
     check_character_sum,
@@ -173,3 +175,16 @@ def test_validation():
         CharacterLabel(5, ())
     with pytest.raises(HypothesisError):
         character_order_sum(CharacterLabel(9, (1, 0)), 2)
+
+
+def test_point_walk_is_priced_before_the_first_point(monkeypatch):
+    # h^{2g} points against POINT_BUDGET: 1000^2 fits, 1001^2 and 32^4 do not.
+    assert sum(1 for _ in all_points(3, 2)) == 81
+    all_points(1000, 1)
+    for h, g, units in [(1001, 1, 1002001), (32, 2, 1048576)]:
+        with pytest.raises(HypothesisError, match=f"{units} work units, over the budget of"):
+            all_points(h, g)
+    # character_order_sum walks through it, so it refuses as well.
+    monkeypatch.setattr(torsion, "POINT_BUDGET", 80)
+    with pytest.raises(HypothesisError, match="\\(Z/3\\)\\^4 needs h\\^\\(2g\\) points: 81"):
+        character_order_sum(CharacterLabel(3, (1, 0, 0, 0)), 1)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,6 +300,8 @@ def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
     # make the enumerator expand in pieces and the histogram merge span
     # blocks.
     monkeypatch.setattr(verlinde, "_CHUNK", chunk)
+    # Histograms cached by earlier tests would skip the merge across blocks.
+    monkeypatch.setattr(verlinde, "_HISTOGRAMS", OrderedDict())
     for members, _ in verlinde._necklace_blocks(10, 4):
         assert len(members) <= chunk
     _assert_orbits_partition_subsets(10)
@@ -330,6 +333,78 @@ def test_mirror_orbits_share_histograms():
         hist, weights, _ = _distinct_histograms(n, r)
         assert len(hist) < sum(1 for _ in necklace_orbits(n, r))
         assert int(weights.sum()) == math.comb(n, r)
+
+
+@pytest.fixture
+def empty_histogram_cache(monkeypatch):
+    monkeypatch.setattr(verlinde, "_HISTOGRAMS", OrderedDict())
+    return verlinde._HISTOGRAMS
+
+
+def _cached_cells(cache):
+    return sum(hist.size + weights.size for hist, weights, _ in cache.values())
+
+
+def test_histograms_are_merged_once_per_n_and_r(monkeypatch, empty_histogram_cache):
+    exact = {g: _v_exact(11, 4, g) for g in (2, 3, 5)}
+    first = _distinct_histograms(11, 4)
+
+    def no_orbits(*args):
+        raise AssertionError("enumerated the orbits of a cached (n, r) again")
+
+    monkeypatch.setattr(verlinde, "_necklace_blocks", no_orbits)
+    assert _distinct_histograms(11, 4) is first
+    # Every genus reads the same rows.
+    for g, value in exact.items():
+        assert _v_modular(11, 4, g) == value
+
+
+def test_cached_histograms_are_read_only(empty_histogram_cache):
+    hist, weights, _ = _distinct_histograms(12, 5)
+    assert not hist.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hist[0, 1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0
+
+
+def test_histogram_cache_holds_at_most_chunk_cells(monkeypatch, empty_histogram_cache):
+    # Cells per entry (hist.size + weights.size): (9, 3) 42, (10, 4) 112,
+    # (11, 4) 140, (12, 5) 280, (13, 6) 592.
+    cache = empty_histogram_cache
+    monkeypatch.setattr(verlinde, "_CHUNK", 400)
+    for n, r in [(10, 4), (11, 4), (9, 3), (10, 4)]:
+        _distinct_histograms(n, r)
+    assert list(cache) == [(11, 4), (9, 3), (10, 4)]
+    assert _cached_cells(cache) == 294
+    # The least recently used go first, until the new entry fits.
+    _distinct_histograms(12, 5)
+    assert list(cache) == [(10, 4), (12, 5)]
+    assert _cached_cells(cache) == 392
+    # An entry over the bound is returned but not kept, and evicts nothing.
+    hist, weights, _ = _distinct_histograms(13, 6)
+    assert hist.size + weights.size == 592 and hist.flags.writeable
+    assert list(cache) == [(10, 4), (12, 5)]
+
+
+def test_level_rank_check_caches_both_sides(empty_histogram_cache):
+    # The key is the subset size as called: v_g(4, 7) and v_g(7, 4) are two
+    # enumerations over Z/11, so the check compares two computations.
+    verlinde._v_number_cached.cache_clear()
+    assert check_level_rank_symmetry(3, 4, 7)
+    assert set(empty_histogram_cache) == {(11, 4), (11, 7)}
+
+
+def test_prices_are_charged_on_cached_histograms(monkeypatch, empty_histogram_cache):
+    # A refusal never depends on what an earlier call left in the cache.
+    assert _v_modular(12, 3, 2) == _v_exact(12, 3, 2)
+    assert (12, 3) in empty_histogram_cache
+    monkeypatch.setattr(verlinde, "RESIDUE_BUDGET", verlinde.orbit_price(12, 3) - 1)
+    with pytest.raises(HypothesisError, match="orbits x"):
+        _v_modular(12, 3, 2)
+    monkeypatch.setattr(verlinde, "RESIDUE_BUDGET", 1000)
+    with pytest.raises(HypothesisError, match="primes x rows x columns"):
+        _v_modular(12, 3, 200)
 
 
 def test_prime_test_agrees_with_trial_division():
