@@ -3,11 +3,12 @@
 Subcommands compute one quantity each (v, dim, symbol, trace, split,
 pgl, fm, heisenberg census) or run the identity suite (identities, from
 thetacalc.identities).  build_parser names each subcommand's flags once;
-its output record lists them, in that order, as its params.
-Results print to stdout in one of four formats (plain, json, csv,
-latex); every exact value is rendered as an integer or reduced fraction
-string, never a decimal, so all formats carry identical values.  Timing
-goes to stderr, keeping stdout byte-for-byte reproducible.
+its output record lists them, in that order, as its params.  Each process
+builds the parser once, on its first run.  Results print to stdout in one
+of four formats (plain, json, csv, latex); every exact value is rendered as
+an integer or reduced fraction string, so all formats carry identical
+values.  Only --mode float rounds to a decimal, and only it imports mpmath.
+Timing goes to stderr, keeping stdout byte-for-byte reproducible.
 
 Exit codes: 0 success; 1 a hypothesis of a formula was violated by the
 parameters, or a work price refused (in `identities` too); 2 an identity or
@@ -17,14 +18,13 @@ internal consistency check failed; 3 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from . import chern, heisenberg, pgl, splitting, torsion, verlinde
 from .exactnum import ConsistencyError, HypothesisError
@@ -86,6 +86,8 @@ def render(record: OutputRecord, fmt: str) -> str:
 
 
 def _float_str(value) -> str:
+    import mpmath  # only --mode float loads it
+
     value = Fraction(value)
     with mpmath.workdps(17):
         approx = mpmath.mpf(value.numerator) / value.denominator
@@ -209,7 +211,10 @@ def _add_command(sub, name, help, handler, params, mode=False, extra=None):
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first run(), never at import, so handlers patched after
+    # import are bound.  parse_args returns a fresh Namespace every call.
     parser = argparse.ArgumentParser(
         prog="thetacalc",
         description="Exact Verlinde numbers, torsion traces, splitting "

@@ -17,9 +17,6 @@ The quantities of interest are the sine squares
 so everything stays inside the conductor-n field; no half-angle roots of
 unity ever appear.  Their powers come from one memoised function,
 sine_power, shared by every sum that needs them.
-
-A floating cross-check mode (embed) evaluates a CycNum at e^{2 pi i / n}
-with mpmath at a configurable precision.  It is never authoritative.
 """
 
 from __future__ import annotations
@@ -30,11 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 Rational = Fraction
-
-DEFAULT_EMBED_PREC = 80  # bits of mantissa for the floating cross-check
 
 
 class HypothesisError(ValueError):
@@ -305,12 +298,6 @@ class CycNum:
         out = [0] * (len(self.nums) * step)
         out[::step] = self.nums
         return CycNum.from_poly(new_conductor, out, self.den)
-
-    def embed(self, prec_bits: int = DEFAULT_EMBED_PREC) -> "mpmath.mpc":
-        """Numeric value at zeta_n = e^{2 pi i / n}; cross-check only."""
-        with mpmath.workprec(prec_bits):
-            z = mpmath.exp(2j * mpmath.pi / self.conductor)
-            return mpmath.polyval(self.nums[::-1], z) / self.den
 
 
 @lru_cache(maxsize=None)

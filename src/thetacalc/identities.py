@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import chern, heisenberg, pgl, splitting, torsion, verlinde
+from .exactnum import check_price
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,17 @@ def _case_character_sum(ranges: RangeSpec) -> str | None:
 
 
 def _case_splitting(ranges: RangeSpec) -> str | None:
-    for h in ranges.h_list:
-        if h % 2 == 0:
-            continue
-        for g in range(1, min(ranges.g_max, 2) + 1):
+    odd = [h for h in ranges.h_list if h % 2 == 1]
+    genera = range(1, min(ranges.g_max, 2) + 1)
+    # multiplicity_oracle walks all of (Z/h)^{2g} per (r, k) and omega | h:
+    # the largest walk is priced alone, as the oracle does, then all of them.
+    walks = [(h ** (2 * g), h, g) for h in odd for g in genera]
+    if walks:
+        torsion.all_points(*max(walks)[1:])
+    points = sum(3 * len(torsion.divisors(h)) * size for size, h, _ in walks)
+    check_price(points, torsion.POINT_BUDGET, "the splitting case's walks need h^(2g) points each")
+    for h in odd:
+        for g in genera:
             for r, k in ((1, 1), (1, 2), (2, 1)):
                 q = splitting.SplitQuery(g, r, k, h)
                 for omega in torsion.divisors(h):

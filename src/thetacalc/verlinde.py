@@ -32,8 +32,8 @@ production paths produce v_g:
     the cruder n^{2(g-1)C(r,2)} and is far smaller.  The CRT modulus is
     sized from C(n, r) times the largest (positive) term times D, in
     float64 log space plus an explicit float-error bound and two bits.
-    A work price (`RESIDUE_BUDGET`) refuses a call before its first orbit,
-    and again before its first prime.
+    Work prices refuse a call before its first orbit, and twice (CRT tail,
+    gathers; `CRT_BUDGET`, `RESIDUE_BUDGET`) before its first prime.
 
 `_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
 is the reference oracle that the tests and the identity suite compare the
@@ -51,7 +51,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-import mpmath
 import numpy as np
 
 from .exactnum import (
@@ -66,6 +65,7 @@ from .exactnum import (
 
 _CHUNK = 1 << 20  # cells (rows x columns) in one block of the residue pipeline
 RESIDUE_BUDGET = 50_000_000  # work units; `_v_modular` prices each call
+CRT_BUDGET = 50_000_000  # work units, as above; `_v_modular` prices its CRT tail
 
 
 @dataclass(frozen=True)
@@ -357,6 +357,18 @@ def orbit_price(n: int, r: int) -> int:
     return -(-math.comb(n, r) // n) * (r * (r - 1) // 2 + n // 2 + 1)
 
 
+def crt_price(n: int, r: int, g: int, bits: int) -> int:
+    """Work units of a residue sum's CRT tail, about 25 ns each.
+
+    At most bits // 30 + 1 primes (while above 2^30), 5 000 units each for
+    search, root and column pass, and 2 x primes x modulus words for Garner;
+    the final Fraction and its decimal string, words^2 / 16 over the value's
+    30-bit words (bits + r(g-1) log2 n bits at most)."""
+    primes = bits // 30 + 1
+    words = math.ceil((bits + r * (g - 1) * math.log2(n)) / 30)
+    return primes * (5_000 + 2 * primes) + words * words // 16
+
+
 def _v_modular(n: int, r: int, g: int) -> Fraction:
     """Orbit sum via residues mod primes p = 1 (mod n), reconstructed by CRT."""
     _crt_primes(n, 0)  # refuse at once when there is no such prime at all (memoised per n)
@@ -365,7 +377,10 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
     # Columns no row uses multiply every term by T[0] = 1; they are skipped.
     hist, weights, cols = _distinct_histograms(n, r)
     denom = _clearing_denominator(n, g, hist, cols)
-    primes = _crt_primes(n, _modulus_bits(n, r, g, hist, cols, denom))
+    bits = _modulus_bits(n, r, g, hist, cols, denom)
+    tail = f"{what} primes x (search + Garner) + words^2 / 16 for {bits} CRT bits"
+    check_price(crt_price(n, r, g, bits), CRT_BUDGET, tail)
+    primes = _crt_primes(n, bits)
     # Before the first prime: one gather per distinct row, used column and prime.
     gathers = len(primes) * len(hist) * len(cols)
     check_price(gathers, RESIDUE_BUDGET, f"{what} primes x rows x columns")
@@ -396,21 +411,6 @@ def _v_exact(n: int, r: int, g: int) -> Fraction:
             term = term * sine_power(n, d, (1 - g) * mult)
         total = total + term
     return Fraction(n) ** (r * (g - 1)) * extract_rational(total)
-
-
-def _v_float(n: int, r: int, g: int, prec_bits: int = 80) -> mpmath.mpf:
-    """Floating evaluation of the same orbit sum; cross-check only."""
-    with mpmath.workprec(prec_bits):
-        sines = [mpmath.mpf(0)] + [
-            (2 * mpmath.sin(mpmath.pi * d / n)) ** 2 for d in range(1, n // 2 + 1)
-        ]
-        total = mpmath.mpf(0)
-        for members, weight in necklace_orbits(n, r):
-            term = mpmath.mpf(weight)
-            for d, mult in _difference_multiset(members, n).items():
-                term *= sines[d] ** ((1 - g) * mult)
-            total += term
-        return mpmath.mpf(n) ** (r * (g - 1)) * total
 
 
 @lru_cache(maxsize=None)

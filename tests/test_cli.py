@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+import threading
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +146,22 @@ class TestFormats:
         assert exact == "-1/9\n"
         assert approx.startswith("-0.1111111")
 
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (("v", "--genus", "2", "--rank", "2", "--level", "1"), "9.0"),
+            (("dim", "--genus", "2", "--rank", "2", "--level", "1"), "4.0"),
+            (("symbol", "--lam", "3", "--h", "9", "--genus", "1"), "-0.111111111111111"),
+            (("trace", "--genus", "2", "--rank", "1", "--level", "1", "--h", "3", "--order", "3"),
+             "4.0"),
+            (("v", "--genus", "200", "--rank", "4", "--level", "4"), "3.07302326732502e+632"),
+        ],
+        ids=["v", "dim", "symbol", "trace", "v-huge"],
+    )
+    def test_float_mode_output_is_unchanged(self, capsys, argv, out):
+        # mpmath is imported inside _float_str; its rounding is as before.
+        assert run_cli(capsys, *argv, "--mode", "float")[:2] == (0, out + "\n")
+
     def test_float_mode_on_v_rounds_the_exact_value(self, capsys, monkeypatch):
         _, out, _ = run_cli(
             capsys, "v", "--genus", "2", "--rank", "2", "--level", "1",
@@ -148,15 +169,13 @@ class TestFormats:
         )
         assert out == "9.0\n"
 
-        def oracle_only(*args, **kwargs):
-            raise AssertionError("the float oracle ran")
-
-        monkeypatch.setattr(verlinde, "_v_float", oracle_only)
+        # Whatever exact value v_number gives is what float mode rounds.
+        monkeypatch.setattr(verlinde, "v_number", lambda q: Fraction(10**20 + 1, 3))
         code, out, _ = run_cli(
             capsys, "v", "--genus", "2", "--rank", "2", "--level", "1",
             "--mode", "float",
         )
-        assert (code, out) == (0, "9.0\n")
+        assert (code, out) == (0, "3.33333333333333e+19\n")
 
 
 class TestExitCodes:
@@ -235,8 +254,12 @@ class TestExitCodes:
             # price refuses before the first divisor's sum.
             (("split", "--genus", "3", "--rank", "2", "--level", "3", "--h", "25"),
              "residue sums of m_1 over the divisors of h = 25"),
+            # About 22 400 primes: the Garner loop alone would run for many
+            # seconds, then a Fraction of about 4.2e6 bits and its digits.
+            (("v", "--genus", "1000000", "--rank", "2", "--level", "3"),
+             "primes x (search + Garner) + words^2 / 16"),
         ],
-        ids=["census", "pgl", "v", "split"],
+        ids=["census", "pgl", "v", "split", "crt"],
     )
     def test_oversized_work_refuses_fast(self, capsys, argv, fact):
         start = time.perf_counter()
@@ -330,6 +353,104 @@ class TestIdentities:
         (line,) = err.splitlines()
         assert line.startswith("hypothesis violated: the walk over all of (Z/1001)^2")
         assert "1002001 work units, over the budget of 1000000" in line
+
+
+    def test_splitting_case_prices_all_its_walks_first(self, capsys, tmp_path):
+        # h = 999 at genus 1: each walk (998 001 points) is admitted alone,
+        # but the case makes 3 x 8 divisors of them, about 100 s.
+        path = tmp_path / "range.txt"
+        path.write_text("h_list=999\ng_max=1\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "identities", "--range-spec", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "FAIL" not in out
+        (line,) = err.splitlines()
+        assert line.startswith("hypothesis violated: the splitting case's walks")
+        assert "23952024 work units, over the budget of 1000000" in line
+
+
+def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser_and_loads_no_mpmath(self):
+        # Only --mode float loads mpmath; the first run builds the parser.
+        proc = _fresh_process(
+            "import sys, io, contextlib\n"
+            "from thetacalc import cli\n"
+            "built = cli.build_parser.cache_info().misses\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.run(['v', '--genus', '1', '--rank', '2', '--level', '3'])\n"
+            "    cli.run(['dim', '--genus', '2', '--rank', '2', '--level', '1'])\n"
+            "print(built, cli.build_parser.cache_info().misses, 'mpmath' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.run(['symbol', '--lam', '3', '--h', '9', '--genus', '1',\n"
+            "             '--mode', 'float'])\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 1 False", "True"]
+
+    def test_one_process_answers_as_fresh_processes_do(self, capsys, monkeypatch):
+        # The same parser serves every argv in turn: each stdout and exit code
+        # is what that argv alone gives in a fresh interpreter.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it, as there
+        argvs = [
+            ["dim", "--genus", "2", "--rank", "2", "--level", "1", "--format", "json"],
+            ["dim", "--genus", "2"],
+            ["fm", "--genus", "2", "--rank", "3", "--slope", "-1/4"],
+            ["symbol", "--lam", "3", "--h", "9", "--genus", "1", "--format", "latex"],
+            ["--help"],
+            ["heisenberg", "census", "--m", "3", "--genus", "1", "--format", "csv"],
+            ["split", "--genus", "1", "--rank", "1", "--level", "1", "--h", "4"],
+            ["v", "--genus", "2", "--rank", "2", "--level", "1", "--mode", "float"],
+            ["fm", "--genus", "2", "--rank", "3", "--slope", "5/3"],
+        ]
+        here = [run_cli(capsys, *argv) for argv in argvs]
+        code = "import sys; from thetacalc import cli; sys.exit(cli.run(sys.argv[1:]))"
+        for argv, (status, out, _) in zip(argvs, here):
+            alone = _fresh_process(code, *argv)
+            assert (status, out) == (alone.returncode, alone.stdout), argv
+        assert [status for status, _, _ in here] == [0, 3, 0, 0, 0, 0, 1, 0, 0]
+        assert here[1][2].startswith("usage: thetacalc dim")
+        assert here[2][1] == "rank=3/16 slope=4\n"
+        assert here[4][1].startswith("usage: thetacalc")
+
+    def test_threads_parse_their_own_argv(self):
+        # More threads than cores, switching often: each parse_args call on
+        # the shared parser must still return its own argv's values.
+        barrier = threading.Barrier(4, timeout=10)
+        got = {}
+
+        def parse(i):
+            barrier.wait()
+            for j in range(200):
+                argv = ["v", "--genus", str(i + 2), "--rank", str(j), "--level", str(i)]
+                ns = cli.build_parser().parse_args(argv)
+                got.setdefault(i, []).append((ns.genus, ns.rank, ns.level))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: [(i + 2, j, i) for j in range(200)] for i in range(4)}
 
 
 class TestRangeSpecParsing:

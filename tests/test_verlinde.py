@@ -37,7 +37,6 @@ from thetacalc.verlinde import (
     _modulus_bits,
     _primes_one_mod,
     _v_exact,
-    _v_float,
     _v_modular,
     all_subsets,
     check_level_rank_symmetry,
@@ -47,6 +46,8 @@ from thetacalc.verlinde import (
     v_number_float,
     verlinde_dim,
 )
+
+from oracles import v_float
 
 # Frozen oracle: dimensions computed by an independent high-precision float
 # sum over all subsets (no orbit reduction, no shared code), generated before
@@ -532,7 +533,7 @@ def test_float_agreement():
         for n in range(2, 9):
             for r in range(1, n):
                 exact = float(v_number(VerlindeQuery(g, r, n - r)))
-                approx = float(_v_float(n, r, g))
+                approx = float(v_float(n, r, g))
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
@@ -578,7 +579,7 @@ def test_wide_rank_two_sum_matches_the_float_oracle():
     # refuses before the first orbit.
     n = 4099
     exact = _v_modular(n, 2, 2)
-    assert abs(float(_v_float(n, 2, 2)) - float(exact)) <= 1e-9 * float(exact)
+    assert abs(float(v_float(n, 2, 2)) - float(exact)) <= 1e-9 * float(exact)
     with pytest.raises(HypothesisError, match="orbits x"):
         _v_modular(2**15 + 3, 2, 2)
 
@@ -600,3 +601,22 @@ def test_residue_price_counts_the_primes(monkeypatch):
     assert _v_modular(12, 3, 2) == _v_exact(12, 3, 2)
     with pytest.raises(HypothesisError, match="primes x rows x columns"):
         _v_modular(12, 3, 200)
+
+
+def test_crt_tail_is_priced_before_the_first_prime(monkeypatch):
+    # The modulus bits and the prefactor exponent r(g - 1) fix the CRT tail's
+    # price: v_50000(2, 3) needs about 1 160 primes, and none is drawn.
+    n, r, g = 5, 2, 50_000
+    hist, _, cols = _distinct_histograms(n, r)
+    bits = _modulus_bits(n, r, g, hist, cols, _clearing_denominator(n, g, hist, cols))
+    price = verlinde.crt_price(n, r, g, bits)
+    assert price > verlinde.crt_price(n, r, g // 2, bits // 2) > 0
+    _crt_primes(n, 0)  # the memoised existence probe, drawn before any price
+
+    def no_primes(*args):
+        raise AssertionError("drew primes past the budget")
+
+    monkeypatch.setattr(verlinde, "_primes_one_mod", no_primes)
+    monkeypatch.setattr(verlinde, "CRT_BUDGET", price - 1)
+    with pytest.raises(HypothesisError, match=f"for {bits} CRT bits: {price} work units"):
+        _v_modular(n, r, g)
