@@ -132,16 +132,8 @@ def _cmd_trace(args) -> tuple[int, OutputRecord | None]:
 
 
 def _cmd_split(args) -> tuple[int, OutputRecord | None]:
-    q = splitting.SplitQuery(args.genus, args.rank, args.level, args.h)
-    rows = []
-    total = 0
-    for omega in torsion.divisors(q.h):
-        m = splitting.multiplicity(q, omega)
-        characters = torsion.count_order(q.h, omega, q.g)
-        part = characters * m * q.r**q.g
-        total += part
-        rows.append((omega, characters, m, part))
-    rows.append(("total", "", "", total))
+    rows = splitting.rank_parts(splitting.SplitQuery(args.genus, args.rank, args.level, args.h))
+    rows.append(("total", "", "", sum(part for *_, part in rows)))
     return 0, _record(args, ("omega", "characters", "multiplicity", "rank_part"), rows)
 
 

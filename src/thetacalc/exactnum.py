@@ -70,6 +70,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors in increasing order."""
+    out = [1]
+    for p, a in factorize(n):
+        out = [d * p**e for d in out for e in range(a + 1)]
+    return sorted(out)
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, memoised: every CycNum checks its length against it.
@@ -125,11 +133,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"no cyclotomic polynomial for {n}")
     num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _int_poly_divmod(num, cyclotomic_polynomial(d))
-            if any(rem):
-                raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
+    for d in divisors(n)[:-1]:
+        num, rem = _int_poly_divmod(num, cyclotomic_polynomial(d))
+        if any(rem):
+            raise ConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(num)
 
 

@@ -41,7 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactnum import ConsistencyError, CycNum, HypothesisError, check_price, extract_rational
+from .exactnum import (
+    ConsistencyError, CycNum, HypothesisError, check_price, divisors, extract_rational,
+)
 
 ORDER_BUDGET = 1_000_000  # |G| m^g, for the checks that walk every element
 CENSUS_BUDGET = 500_000  # |G| (2g+1) + classes^2, for irrep_census
@@ -311,7 +313,7 @@ def irrep_census(m: int, g: int) -> list[tuple[int, int, int]]:
     )
     rows: list[tuple[int, int, tuple[CycNum, ...]]] = []
     twisted: dict[tuple[CycNum, int], CycNum] = {}  # chi * zeta_m^k per (chi, k mod m)
-    for f in (f for f in range(1, m + 1) if m % f == 0):
+    for f in divisors(m):
         for np in (np for np in range(f) if math.gcd(f, np) == 1) if f > 1 else [0]:
             sub = SchrodingerRep(f, np, g)
             base = [sub.character(h.reduce(f)).lift(m) for h in reps]

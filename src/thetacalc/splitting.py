@@ -37,6 +37,7 @@ from .torsion import (
     all_points,
     count_order,
     divisors,
+    order_tally,
     totient_symbol,
 )
 from .verlinde import VerlindeQuery, v_number, verlinde_dim
@@ -133,15 +134,20 @@ def multiplicity_oracle(q: SplitQuery, xi: CharacterLabel) -> Fraction:
     # Every delta | h is the order of some point; the traces, and the
     # residue prices behind them, also come before the walk.
     trace = {delta: trace_of_torsion(q, delta).value for delta in divisors(h)}
-    # tally[delta][c]: points alpha of order delta with xi(alpha^{-1}) = zeta^c.
-    tally = {delta: [0] * h for delta in trace}
-    for coords in points:
-        c = sum(x * a for x, a in zip(xi.coords, coords))
-        tally[h // math.gcd(h, *coords)][-c % h] += 1
     total = CycNum.from_rational(h, 0)
-    for delta, counts in tally.items():
+    for delta, counts in order_tally(xi, points).items():
         total = total + CycNum.from_poly(h, counts) * trace[delta]
     return extract_rational(total) / (Fraction(r) ** g * h ** (2 * g))
+
+
+def rank_parts(q: SplitQuery) -> list[tuple[int, int, int, int]]:
+    """(omega, characters, multiplicity, characters * multiplicity * r^g) per omega | h."""
+    rows = []
+    for omega in divisors(q.h):
+        m = multiplicity(q, omega)
+        characters = count_order(q.h, omega, q.g)
+        rows.append((omega, characters, m, characters * m * q.r**q.g))
+    return rows
 
 
 def check_rank_consistency(q: SplitQuery) -> bool:
@@ -150,7 +156,5 @@ def check_rank_consistency(q: SplitQuery) -> bool:
     The sum over all h^{2g} characters is collapsed into order classes
     weighted by count_order.
     """
-    g, r, k, h = q.g, q.r, q.k, q.h
-    lhs = sum(count_order(h, omega, g) * multiplicity(q, omega) * r**g for omega in divisors(h))
-    rhs = verlinde_dim(VerlindeQuery(g, h * r, h * k))
-    return lhs == rhs
+    lhs = sum(part for *_, part in rank_parts(q))
+    return lhs == verlinde_dim(VerlindeQuery(q.g, q.h * q.r, q.h * q.k))

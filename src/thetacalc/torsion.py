@@ -26,14 +26,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .exactnum import (
-    CycNum,
-    HypothesisError,
-    check_price,
-    extract_rational,
-    factorize,
-)
+from .exactnum import CycNum, HypothesisError, check_price, divisors, extract_rational, factorize
 
 POINT_BUDGET = 1_000_000  # points; `all_points` prices each walk
 
@@ -118,14 +113,6 @@ def count_order(h: int, delta: int, g: int) -> int:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors in increasing order."""
-    out = [1]
-    for p, a in factorize(n):
-        out = [d * p**e for d in out for e in range(a + 1)]
-    return sorted(out)
-
-
 def check_count_partition(m: int, g: int) -> bool:
     """sum_{delta | m} count_order(delta) = m^{2g}, exactly."""
     if m < 1:
@@ -136,13 +123,26 @@ def check_count_partition(m: int, g: int) -> bool:
 def all_points(h: int, g: int) -> "itertools.product":
     """Iterator over all of (Z/h)^{2g} as coordinate tuples.
 
-    The one walk behind `character_order_sum` and
-    `splitting.multiplicity_oracle`: priced at h^{2g} points against
+    The one walk behind `order_tally`'s two readers, `character_order_sum`
+    and `splitting.multiplicity_oracle`: priced at h^{2g} points against
     POINT_BUDGET before the first.
     """
     what = f"the walk over all of (Z/{h})^{2 * g} needs h^(2g) points"
     check_price(h ** (2 * g), POINT_BUDGET, what)
     return itertools.product(range(h), repeat=2 * g)
+
+
+def order_tally(xi: CharacterLabel, points: Iterable[tuple[int, ...]]) -> dict[int, list[int]]:
+    """{delta: counts} over delta | h: counts[c] of the points alpha of order
+    delta have xi(alpha^{-1}) = zeta_h^c.  Both brute-force Fourier oracles
+    read it, each from its own priced walk `points`; no closed form does.
+    """
+    h = xi.h
+    tally = {delta: [0] * h for delta in divisors(h)}
+    for coords in points:
+        c = sum(x * a for x, a in zip(xi.coords, coords))
+        tally[h // math.gcd(h, *coords)][-c % h] += 1
+    return tally
 
 
 def character_order_sum(xi: CharacterLabel, delta: int) -> Fraction:
@@ -153,13 +153,8 @@ def character_order_sum(xi: CharacterLabel, delta: int) -> Fraction:
     h, g = xi.h, xi.g
     if delta < 1 or h % delta != 0:
         raise HypothesisError(f"{delta} does not divide {h}")
-    target = h // delta
-    tally = [0] * h
-    for coords in all_points(h, g):
-        if h // math.gcd(h, *coords) != target:
-            continue
-        tally[-sum(x * a for x, a in zip(xi.coords, coords)) % h] += 1
-    return extract_rational(CycNum.from_poly(h, tally))
+    counts = order_tally(xi, all_points(h, g))[h // delta]
+    return extract_rational(CycNum.from_poly(h, counts))
 
 
 def character_order_sum_formula(xi: CharacterLabel, delta: int) -> Fraction:

@@ -17,7 +17,7 @@ sum is taken over necklace representatives weighted by orbit size.  Two
 production paths produce v_g:
 
   * genus 1: every term is 1 and the prefactor exponent is 0, so
-    v_1(r, k) = C(r+k, r);
+    v_1(r, k) = C(r+k, r), priced by its size before it is computed;
   * genus >= 2: the sum, grouped by distinct difference histograms, is
     evaluated modulo several primes p = 1 (mod n) using a root of unity in
     F_p and reconstructed by CRT (`_v_modular`), rigorously and without
@@ -295,24 +295,25 @@ def _valuation_weights(n: int) -> tuple[tuple[int, int, dict[int, int]], ...]:
     return tuple(out)
 
 
-def _clearing_denominator(n: int, g: int, hist: np.ndarray, cols: list[int]) -> int:
-    """D = prod_{p | n} p^{E_p} with the orbit sum times D an integer.
+def _clearing_denominator(n: int, g: int, hist: np.ndarray, cols: list[int]) -> list[tuple]:
+    """[(p, E_p)] for D = prod_{p | n} p^{E_p}, with the orbit sum times D an integer.
 
     A term prod_d s_d^{(1-g) h_d} has p-adic valuation (1-g) sum_d h_d v_p(s_d)
     and is a unit away from the primes over n, so E_p is the largest
     (g-1) sum_d h_d v_p(s_d) over the rows, rounded up.  Only the columns
-    cols, those some row uses, can contribute.
+    cols, those some row uses, can contribute.  E_p grows with g, so D itself
+    is built only once the CRT tail's price admits the call.
     """
-    denom = 1
+    out = []
     for p, phi, weight in _valuation_weights(n):
         used = (weight[d] * hist[:, d].astype(np.int64) for d in cols if d in weight)
         top = (g - 1) * int(sum(used, np.zeros(len(hist), np.int64)).max())
-        denom *= p ** -(-top // phi)
-    return denom
+        out.append((p, -(-top // phi)))
+    return out
 
 
-def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], denom: int) -> int:
-    """Bits b such that every modulus M >= 2^b exceeds 2 |sum * denom| + 1."""
+def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], exps: list) -> int:
+    """Bits b such that every modulus M >= 2^b exceeds 2 |sum * D| + 1, D = prod p^E_p."""
     # Every term is positive and the orbit sizes add up to C(n, r), so
     # log2 sum <= log2 C(n, r) + (g-1) max_h sum_d h_d c_d with
     # c_d = -log2 4 sin^2(pi d / n), over the used columns d.
@@ -320,15 +321,17 @@ def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], den
     e = (g - 1) * (r * (r - 1) // 2)
     rows = sum((hist[:, d] * c for d, c in cost.items()), np.zeros(len(hist)))
     top = (g - 1) * float(rows.max())
-    log_bound = math.log2(math.comb(n, r)) + top + math.log2(denom)
+    log_bound = math.log2(math.comb(n, r)) + top + sum(x * math.log2(p) for p, x in exps)
     # Float error: each c_d is off by under 2^-47 (1 + |c_d|) (sin is well
     # conditioned on (0, pi/2]), |c_d| <= 2 log2 n, and a row sums <= n/2
     # products whose counts h_d add up to C(r, 2), so top is off by under
-    # e (n + 2)(1 + 2 log2 n) 2^-47, with room to spare for the roundings
-    # of the logs and sums above.  top and log2 denom nearly cancel at large
-    # g and small k while this error grows like e, so it is added in full;
-    # one margin bit more covers the factor 2, one the + 1.
-    err = e * (n + 2) * (1 + 2 * math.log2(n)) * 2.0**-47
+    # e (n + 2)(1 + 2 log2 n) 2^-47, with room to spare for the roundings of
+    # the logs and sums above.  log2 D = sum E_p log2 p <= 2 e log2 n (E_p <=
+    # 2 e, prod p <= n) is off by under a quarter of its term 2 e log2 n 2^-47.
+    # top and log2 D nearly cancel at large g and small k while this error
+    # grows like e, so it is added in full; one margin bit more covers the
+    # factor 2, one the + 1.
+    err = e * ((n + 2) * (1 + 2 * math.log2(n)) + 2 * math.log2(n)) * 2.0**-47
     return math.ceil(log_bound + err) + 2
 
 
@@ -376,10 +379,11 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
     check_price(orbit_price(n, r), RESIDUE_BUDGET, f"{what} orbits x (pairs + cells)")
     # Columns no row uses multiply every term by T[0] = 1; they are skipped.
     hist, weights, cols = _distinct_histograms(n, r)
-    denom = _clearing_denominator(n, g, hist, cols)
-    bits = _modulus_bits(n, r, g, hist, cols, denom)
+    exps = _clearing_denominator(n, g, hist, cols)
+    bits = _modulus_bits(n, r, g, hist, cols, exps)
     tail = f"{what} primes x (search + Garner) + words^2 / 16 for {bits} CRT bits"
     check_price(crt_price(n, r, g, bits), CRT_BUDGET, tail)
+    denom = math.prod(p**x for p, x in exps)
     primes = _crt_primes(n, bits)
     # Before the first prime: one gather per distinct row, used column and prime.
     gathers = len(primes) * len(hist) * len(cols)
@@ -406,10 +410,7 @@ def _v_exact(n: int, r: int, g: int) -> Fraction:
     """Orbit sum in exact cyclotomic arithmetic; reference oracle only."""
     total = CycNum.from_rational(n, 0)
     for members, weight in necklace_orbits(n, r):
-        term = CycNum.from_rational(n, weight)
-        for d, mult in _difference_multiset(members, n).items():
-            term = term * sine_power(n, d, (1 - g) * mult)
-        total = total + term
+        total = total + weight * subset_term(SubsetS(n, members), g)
     return Fraction(n) ** (r * (g - 1)) * extract_rational(total)
 
 
@@ -417,7 +418,14 @@ def _v_exact(n: int, r: int, g: int) -> Fraction:
 def _v_number_cached(g: int, r: int, k: int) -> Fraction:
     n = r + k
     if g == 1:
-        # Every subset term is 1 and the prefactor exponent is zero.
+        # Every subset term is 1 and the prefactor exponent is zero.  comb and
+        # str take words^2 units; the bits come from the entropy bound, which,
+        # unlike a difference of lgammas, does not cancel at huge n.
+        m = min(r, k)
+        bits = m and m * math.log2(n / m) - (n - m) * math.log1p(-m / n) / math.log(2)
+        words = math.ceil(bits / 30)
+        what = f"the genus-1 value C({n}, {r}) needs words^2 for {math.ceil(bits)} bits"
+        check_price(words * words, CRT_BUDGET, what)
         return Fraction(math.comb(n, r))
     return _v_modular(n, r, g)
 

@@ -24,6 +24,22 @@ def run_cli(capsys, *argv):
 
 
 class TestWorkedExamples:
+    def test_readme_cli_block_is_true(self, capsys):
+        # Each `thetacalc <command> ... # value` line in README.md's CLI block
+        # must print its comment; a README edit that changes a documented
+        # value fails here.
+        valued = {"v", "dim", "symbol", "trace", "pgl", "fm"}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        checked = set()
+        for line in block.splitlines():
+            command, _, value = line.partition("#")
+            argv = command.split()[1:]
+            if argv[0] in valued:
+                assert run_cli(capsys, *argv)[:2] == (0, value.strip() + "\n"), line
+                checked.add(argv[0])
+        assert checked == valued
+
     def test_dim_prints_bare_value_in_plain_format(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "--genus", "2", "--rank", "2", "--level", "1")
         assert code == 0
@@ -258,8 +274,15 @@ class TestExitCodes:
             # seconds, then a Fraction of about 4.2e6 bits and its digits.
             (("v", "--genus", "1000000", "--rank", "2", "--level", "3"),
              "primes x (search + Garner) + words^2 / 16"),
+            # D = 5^(10^7) alone would take about 6 s to build; the tail's
+            # price, from the exponents of D, refuses before it is built.
+            (("v", "--genus", "20000000", "--rank", "2", "--level", "3"),
+             "for 13884845 CRT bits: 1222271796812 work units"),
+            # math.comb(600000, 300000) alone takes about 5 s.
+            (("v", "--genus", "1", "--rank", "300000", "--level", "300000"),
+             "C(600000, 300000) needs words^2 for 600000 bits"),
         ],
-        ids=["census", "pgl", "v", "split", "crt"],
+        ids=["census", "pgl", "v", "split", "crt", "denominator", "genus-1"],
     )
     def test_oversized_work_refuses_fast(self, capsys, argv, fact):
         start = time.perf_counter()

@@ -21,6 +21,7 @@ from thetacalc.torsion import (
     check_count_partition,
     count_order,
     divisors,
+    order_tally,
     totient_symbol,
 )
 
@@ -46,15 +47,19 @@ def test_totient_symbol_multiplicative_in_h():
 
 
 def test_count_order_brute_force():
-    # Count points of each exact order in (Z/h)^{2g} directly.
-    for h in (1, 2, 3, 4, 6, 9, 15):
+    # Count points of each exact order in (Z/h)^{2g} directly, and through
+    # the tally both Fourier oracles read: its row totals are the counts.
+    for h in range(1, 16):
         for g in (1, 2):
             seen: dict[int, int] = {}
             for coords in itertools.product(range(h), repeat=2 * g):
                 order = h // math.gcd(h, *coords)
                 seen[order] = seen.get(order, 0) + 1
+            xi = CharacterLabel(h, (1 % h,) + (0,) * (2 * g - 1))
+            tally = order_tally(xi, all_points(h, g))
+            assert sorted(tally) == divisors(h)
             for delta in divisors(h):
-                assert count_order(h, delta, g) == seen.get(delta, 0)
+                assert count_order(h, delta, g) == seen.get(delta, 0) == sum(tally[delta])
 
 
 def test_count_order_known_values():

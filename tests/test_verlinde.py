@@ -423,8 +423,9 @@ def _assert_modulus_covers(n, r, g):
     # D divides the old clearing factor n^{2e}, the orbit sum times D is an
     # integer, and the CRT modulus recovers it with its sign.
     hist, _, cols = _distinct_histograms(n, r)
-    denom = _clearing_denominator(n, g, hist, cols)
-    modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist, cols, denom)))
+    exps = _clearing_denominator(n, g, hist, cols)
+    modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist, cols, exps)))
+    denom = math.prod(p**x for p, x in exps)
     e = (g - 1) * math.comb(r, 2)
     assert n ** (2 * e) % denom == 0, (g, n, r)
     scaled = _v_exact(n, r, g) / Fraction(n) ** (r * (g - 1)) * denom
@@ -471,7 +472,7 @@ def test_denominator_clears_every_term_and_no_more():
         for n in range(2, 13):
             for r in range(2, n):
                 hist, _, cols = _distinct_histograms(n, r)
-                denom = _clearing_denominator(n, g, hist, cols)
+                denom = math.prod(p**x for p, x in _clearing_denominator(n, g, hist, cols))
                 terms = []
                 for members, _ in necklace_orbits(n, r):
                     term = CycNum.from_rational(n, 1)
