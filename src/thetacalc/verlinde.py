@@ -33,7 +33,8 @@ production paths produce v_g:
     sized from C(n, r) times the largest (positive) term times D, in
     float64 log space plus an explicit float-error bound and two bits.
     Work prices refuse a call before its first orbit, and twice (CRT tail,
-    gathers; `CRT_BUDGET`, `RESIDUE_BUDGET`) before its first prime.
+    gathers; `CRT_BUDGET`, `RESIDUE_BUDGET`) before its first prime.  Primes
+    are drawn once per n and process, roots of unity once per (n, p).
 
 `_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
 is the reference oracle that the tests and the identity suite compare the
@@ -42,6 +43,7 @@ residue path against; production never calls it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -215,6 +217,7 @@ def _primes_one_mod(n: int) -> Iterator[int]:
             yield p
 
 
+@lru_cache(maxsize=None)
 def _root_of_order(n: int, p: int) -> int:
     # An element of exact multiplicative order n in F_p (requires n | p-1).
     prime_divs = [q for q, _ in factorize(n)]
@@ -229,6 +232,7 @@ def _root_of_order(n: int, p: int) -> int:
 # (n, r) -> _distinct_histograms(n, r), least recently used first.  The
 # rows do not depend on the genus, so a sweep over g merges them once.
 _HISTOGRAMS: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray, list[int]]] = OrderedDict()
+_HISTOGRAM_CELLS = 0  # hist.size + weights.size over _HISTOGRAMS, kept under the lock
 _HISTOGRAMS_LOCK = threading.Lock()
 
 
@@ -237,6 +241,7 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[i
     # _CHUNK cells (hist.size + weights.size); a larger result is not kept.
     # The key is (n, r) as called, never (n, n - r): level-rank compares two
     # separate enumerations.
+    global _HISTOGRAM_CELLS
     key = (n, r)
     with _HISTOGRAMS_LOCK:
         if key in _HISTOGRAMS:
@@ -247,11 +252,12 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[i
     if cells <= _CHUNK:
         hist.flags.writeable = weights.flags.writeable = False
         with _HISTOGRAMS_LOCK:
-            kept = sum(h.size + w.size for h, w, _ in _HISTOGRAMS.values())
-            while kept + cells > _CHUNK:
-                h, w, _ = _HISTOGRAMS.popitem(last=False)[1]
-                kept -= h.size + w.size
-            _HISTOGRAMS[key] = out
+            if key not in _HISTOGRAMS:  # another thread may have stored it meanwhile
+                while _HISTOGRAM_CELLS + cells > _CHUNK:
+                    h, w, _ = _HISTOGRAMS.popitem(last=False)[1]
+                    _HISTOGRAM_CELLS -= h.size + w.size
+                _HISTOGRAMS[key] = out
+                _HISTOGRAM_CELLS += cells
     return out
 
 
@@ -335,19 +341,33 @@ def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], exp
     return math.ceil(log_bound + err) + 2
 
 
-@lru_cache(maxsize=None)
+# n -> (primes p = 1 (mod n) drawn so far, descending; each prefix product's
+# bit length; the rest of the _primes_one_mod(n) search), kept for the process.
+_PRIME_RUNS: dict[int, tuple[list[int], list[int], Iterator[int]]] = {}
+_PRIME_RUNS_LOCK = threading.Lock()
+
+
 def _crt_primes(n: int, bits: int) -> tuple[int, ...]:
-    # The fewest primes p = 1 (mod n) whose product reaches 2^bits.
-    primes, modulus = [], 1
-    for p in _primes_one_mod(n):
-        primes.append(p)
-        modulus *= p
-        if modulus.bit_length() > bits:
-            return tuple(primes)
-    raise HypothesisError(
-        f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
-        f"the value; n = r + k = {n} is too large"
-    )
+    # The fewest primes p = 1 (mod n) whose product reaches 2^bits: the shortest
+    # such prefix of n's run, which is drawn further only when none is.
+    with _PRIME_RUNS_LOCK:
+        if n not in _PRIME_RUNS:
+            _PRIME_RUNS[n] = [], [], _primes_one_mod(n)
+        run, sizes, rest = _PRIME_RUNS[n]
+        if not sizes or sizes[-1] <= bits:
+            modulus = math.prod(run)
+            for p in rest:
+                run.append(p)
+                modulus *= p
+                sizes.append(modulus.bit_length())
+                if sizes[-1] > bits:
+                    break
+            else:
+                raise HypothesisError(
+                    f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
+                    f"the value; n = r + k = {n} is too large"
+                )
+        return tuple(run[: bisect.bisect_right(sizes, bits) + 1])
 
 
 def orbit_price(n: int, r: int) -> int:
@@ -372,6 +392,12 @@ def crt_price(n: int, r: int, g: int, bits: int) -> int:
     return primes * (5_000 + 2 * primes) + words * words // 16
 
 
+def _column_table(s: int, g: int, r: int, p: int) -> np.ndarray:
+    # T[h] = s^{(1-g) h} mod p for h = 0..r (s a unit mod p), by running products.
+    powers = itertools.accumulate([pow(s, 1 - g, p)] * r, lambda x, y: x * y % p, initial=1)
+    return np.array(list(powers))
+
+
 def _v_modular(n: int, r: int, g: int) -> Fraction:
     """Orbit sum via residues mod primes p = 1 (mod n), reconstructed by CRT."""
     _crt_primes(n, 0)  # refuse at once when there is no such prime at all (memoised per n)
@@ -394,8 +420,7 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
         acc = weights % p * (denom % p) % p  # residues of sum * denom
         for d in cols:
             # Gather from T[h] = s_d^{(1-g) h} mod p, one column per d.
-            base = pow((2 - pow(w, d, p) - pow(w, n - d, p)) % p, (1 - g) % (p - 1), p)
-            table = np.array([pow(base, h, p) for h in range(r + 1)])
+            table = _column_table((2 - pow(w, d, p) - pow(w, n - d, p)) % p, g, r, p)
             acc = acc * table.take(hist[:, d]) % p
         # CRT (Garner): fold the residue mod p into total mod the product.
         total += mod * ((int(acc.sum()) - total) * pow(mod % p, -1, p) % p)

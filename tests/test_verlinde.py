@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from collections import OrderedDict
 from fractions import Fraction
@@ -31,11 +32,13 @@ from thetacalc.verlinde import (
     SubsetS,
     VerlindeQuery,
     _clearing_denominator,
+    _column_table,
     _crt_primes,
     _distinct_histograms,
     _is_prime,
     _modulus_bits,
     _primes_one_mod,
+    _root_of_order,
     _v_exact,
     _v_modular,
     all_subsets,
@@ -288,6 +291,9 @@ EXACT_MODULAR_CASES += [(1, 1, 2), (1, 1, 5), (2, 2, 3), (3, 3, 2)]
 # A prime and a composite conductor where mirror-image orbits share a
 # difference histogram, so merged rows meet the oracle.
 EXACT_MODULAR_CASES += [(13, 6, 3), (14, 7, 2)]
+# A prime and a composite conductor at g = 2 and g >= 20, where the column
+# tables' negative power and running products differ most from plain powers.
+EXACT_MODULAR_CASES += [(7, 3, 2), (7, 3, 25), (8, 3, 2), (8, 3, 30), (7, 2, 40), (8, 5, 30)]
 
 
 def test_exact_and_modular_paths_agree():
@@ -303,6 +309,7 @@ def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
     monkeypatch.setattr(verlinde, "_CHUNK", chunk)
     # Histograms cached by earlier tests would skip the merge across blocks.
     monkeypatch.setattr(verlinde, "_HISTOGRAMS", OrderedDict())
+    monkeypatch.setattr(verlinde, "_HISTOGRAM_CELLS", 0)
     for members, _ in verlinde._necklace_blocks(10, 4):
         assert len(members) <= chunk
     _assert_orbits_partition_subsets(10)
@@ -339,11 +346,15 @@ def test_mirror_orbits_share_histograms():
 @pytest.fixture
 def empty_histogram_cache(monkeypatch):
     monkeypatch.setattr(verlinde, "_HISTOGRAMS", OrderedDict())
+    monkeypatch.setattr(verlinde, "_HISTOGRAM_CELLS", 0)
     return verlinde._HISTOGRAMS
 
 
 def _cached_cells(cache):
-    return sum(hist.size + weights.size for hist, weights, _ in cache.values())
+    # The running total the cache keeps must match its entries.
+    cells = sum(hist.size + weights.size for hist, weights, _ in cache.values())
+    assert verlinde._HISTOGRAM_CELLS == cells
+    return cells
 
 
 def test_histograms_are_merged_once_per_n_and_r(monkeypatch, empty_histogram_cache):
@@ -386,6 +397,7 @@ def test_histogram_cache_holds_at_most_chunk_cells(monkeypatch, empty_histogram_
     hist, weights, _ = _distinct_histograms(13, 6)
     assert hist.size + weights.size == 592 and hist.flags.writeable
     assert list(cache) == [(10, 4), (12, 5)]
+    assert _cached_cells(cache) == 392
 
 
 def test_level_rank_check_caches_both_sides(empty_histogram_cache):
@@ -417,6 +429,85 @@ def test_prime_test_agrees_with_trial_division():
     tricky = [2047, 1373653, 25326001, 2**31 - 1, 2**31 - 3, 2**31 - 19, 2**31 - 61]
     for m in list(range(-1, 5000)) + tricky:
         assert _is_prime(m) == by_division(m), m
+
+
+def _fresh_crt_primes(n, bits):
+    # The fewest primes of a new descending search whose product passes 2^bits.
+    primes, modulus = [], 1
+    for p in _primes_one_mod(n):
+        primes.append(p)
+        modulus *= p
+        if modulus.bit_length() > bits:
+            return tuple(primes)
+    raise AssertionError("ran out of primes")
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_crt_primes_are_minimal_prefixes_of_one_run(monkeypatch, n):
+    monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
+    longest = ()
+    # Rising, falling and repeated bit counts, from one stored run.
+    for bits in [40, 200, 100, 100, 0, 31, 62, 500, 61, 500, 1]:
+        primes = _crt_primes(n, bits)
+        assert primes == _fresh_crt_primes(n, bits), bits
+        assert math.prod(primes).bit_length() > bits
+        # Minimal; at bits = 0 (the existence probe) it is one prime.
+        assert math.prod(primes[:-1]).bit_length() <= max(bits, 1)
+        run = tuple(verlinde._PRIME_RUNS[n][0])
+        assert run[: len(primes)] == primes and run[: len(longest)] == longest
+        longest = max(longest, primes, key=len)
+    assert list(run) == sorted(run, reverse=True)
+    assert all(p % n == 1 and _is_prime(p) for p in run)
+    # The run grew only as far as the largest bit count asked for.
+    assert run == longest
+
+
+def test_threads_drawing_a_new_run_get_the_same_primes(monkeypatch):
+    monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
+    search = verlinde._primes_one_mod
+
+    def slow_search(n):
+        # A pause between draws gives the other thread room to interleave.
+        for p in search(n):
+            time.sleep(0.001)
+            yield p
+
+    monkeypatch.setattr(verlinde, "_primes_one_mod", slow_search)
+    barrier, results = threading.Barrier(2), [None, None]
+
+    def draw(i):
+        barrier.wait()
+        results[i] = _crt_primes(9, 300)
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results[0] == results[1] == _fresh_crt_primes(9, 300)
+
+
+def test_roots_of_unity_have_exact_order():
+    for n in range(1, 25):
+        for p in _crt_primes(n, 100):
+            w = _root_of_order(n, p)
+            powers = [pow(w, e, p) for e in range(1, n + 1)]
+            assert powers.index(1) == n - 1, (n, p)
+            assert _root_of_order(n, p) == w
+
+
+def test_column_tables_match_plain_powers():
+    # The table starts from the negative power s^(1-g) and runs products;
+    # the plain form raises s to (1-g) mod (p-1), then to each h.
+    for n in (3, 5, 7, 8, 12):
+        for p in _crt_primes(n, 100):
+            w = _root_of_order(n, p)
+            for g in (2, 3, 25, 1000, 10**6):
+                for d in range(1, n // 2 + 1):
+                    s = (2 - pow(w, d, p) - pow(w, n - d, p)) % p
+                    base = pow(s, (1 - g) % (p - 1), p)
+                    table = _column_table(s, g, n, p)
+                    assert table.tolist() == [pow(base, h, p) for h in range(n + 1)]
 
 
 def _assert_modulus_covers(n, r, g):
@@ -612,12 +703,19 @@ def test_crt_tail_is_priced_before_the_first_prime(monkeypatch):
     bits = _modulus_bits(n, r, g, hist, cols, _clearing_denominator(n, g, hist, cols))
     price = verlinde.crt_price(n, r, g, bits)
     assert price > verlinde.crt_price(n, r, g // 2, bits // 2) > 0
-    _crt_primes(n, 0)  # the memoised existence probe, drawn before any price
+    # A fresh run for n: the existence probe draws its one prime before any
+    # price, and nothing may draw past it.
+    monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
+    _crt_primes(n, 0)
+    run = verlinde._PRIME_RUNS[n][0]
+    assert len(run) == 1
 
     def no_primes(*args):
         raise AssertionError("drew primes past the budget")
 
+    # A new n would start a new search; the stored run of n must not grow.
     monkeypatch.setattr(verlinde, "_primes_one_mod", no_primes)
     monkeypatch.setattr(verlinde, "CRT_BUDGET", price - 1)
     with pytest.raises(HypothesisError, match=f"for {bits} CRT bits: {price} work units"):
         _v_modular(n, r, g)
+    assert verlinde._PRIME_RUNS[n][0] is run and len(run) == 1
