@@ -48,8 +48,8 @@ from .torsion import count_order, divisors
 from .verlinde import SubsetS, VerlindeQuery, all_subsets, subset_term, v_number
 
 # Work units of one coperiodic walk, C(n, r) phi(n) (1 + C(r, 2) phi(n)),
-# times 1 + (g-1)^2 C(r, 2) // 50 000 for coefficients that grow with g:
-# 80-460 ns each on a 2-vCPU VM, so an admitted walk stays under ~5 s.
+# times 1 + (g-1)^2 (C(r, 2) + 10) // 640 000 when r > 1, for coefficients
+# that grow with g: walks at the budget took 1.4-7.6 s on a 2-vCPU VM.
 COPERIODIC_BUDGET = 10_000_000
 
 
@@ -156,7 +156,9 @@ def pgl_dim_coperiodic(q: PglQuery) -> int:
     """Projective dimension as a twist-weighted sum over all subsets."""
     g, r, n, d = q.g, q.r, q.n, q.d
     subsets, phi, pairs = math.comb(n, r), euler_phi(n), math.comb(r, 2)
-    price = subsets * phi * (1 + pairs * phi) * (1 + (g - 1) ** 2 * pairs // 50_000)
+    # Rank 1 has no pair factor, so no coefficient grows with g.
+    growth = 1 + (g - 1) ** 2 * (pairs + 10) // 640_000 if pairs else 1
+    price = subsets * phi * (1 + pairs * phi) * growth
     check_price(price, COPERIODIC_BUDGET, f"coperiodic walk over C({n}, {r}) = {subsets} subsets")
     total = CycNum.from_rational(n, 0)
     for S in all_subsets(n, r):

@@ -232,7 +232,6 @@ def _root_of_order(n: int, p: int) -> int:
 # (n, r) -> _distinct_histograms(n, r), least recently used first.  The
 # rows do not depend on the genus, so a sweep over g merges them once.
 _HISTOGRAMS: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray, list[int]]] = OrderedDict()
-_HISTOGRAM_CELLS = 0  # hist.size + weights.size over _HISTOGRAMS, kept under the lock
 _HISTOGRAMS_LOCK = threading.Lock()
 
 
@@ -241,7 +240,6 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[i
     # _CHUNK cells (hist.size + weights.size); a larger result is not kept.
     # The key is (n, r) as called, never (n, n - r): level-rank compares two
     # separate enumerations.
-    global _HISTOGRAM_CELLS
     key = (n, r)
     with _HISTOGRAMS_LOCK:
         if key in _HISTOGRAMS:
@@ -252,12 +250,11 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[i
     if cells <= _CHUNK:
         hist.flags.writeable = weights.flags.writeable = False
         with _HISTOGRAMS_LOCK:
-            if key not in _HISTOGRAMS:  # another thread may have stored it meanwhile
-                while _HISTOGRAM_CELLS + cells > _CHUNK:
-                    h, w, _ = _HISTOGRAMS.popitem(last=False)[1]
-                    _HISTOGRAM_CELLS -= h.size + w.size
-                _HISTOGRAMS[key] = out
-                _HISTOGRAM_CELLS += cells
+            kept = sum(h.size + w.size for h, w, _ in _HISTOGRAMS.values())
+            while kept + cells > _CHUNK:
+                h, w, _ = _HISTOGRAMS.popitem(last=False)[1]
+                kept -= h.size + w.size
+            _HISTOGRAMS[key] = out
     return out
 
 
@@ -355,18 +352,24 @@ def _crt_primes(n: int, bits: int) -> tuple[int, ...]:
             _PRIME_RUNS[n] = [], [], _primes_one_mod(n)
         run, sizes, rest = _PRIME_RUNS[n]
         if not sizes or sizes[-1] <= bits:
-            modulus = math.prod(run)
-            for p in rest:
-                run.append(p)
-                modulus *= p
-                sizes.append(modulus.bit_length())
-                if sizes[-1] > bits:
-                    break
-            else:
-                raise HypothesisError(
-                    f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
-                    f"the value; n = r + k = {n} is too large"
-                )
+            try:
+                modulus = math.prod(run)
+                for p in rest:
+                    run.append(p)
+                    modulus *= p
+                    sizes.append(modulus.bit_length())
+                    if sizes[-1] > bits:
+                        break
+                else:
+                    raise HypothesisError(
+                        f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
+                        f"the value; n = r + k = {n} is too large"
+                    )
+            except BaseException:
+                # A draw cut short (an interrupt, a spent search) keeps no
+                # finished generator: the next call searches afresh.
+                del _PRIME_RUNS[n]
+                raise
         return tuple(run[: bisect.bisect_right(sizes, bits) + 1])
 
 

@@ -264,9 +264,11 @@ class TestExitCodes:
             # C(23, 11) subsets: the coperiodic walk would run for minutes.
             (("pgl", "--genus", "2", "--rank", "11", "--level", "12", "--d", "1"),
              "1352078 subsets"),
-            # 462 subsets, but coefficients of thousands of words: tens of seconds.
+            # 462 subsets, but coefficients of thousands of words: 9 s and 48 s.
+            (("pgl", "--genus", "1000", "--rank", "5", "--level", "6", "--d", "1"),
+             "462 subsets: 14931840 work units"),
             (("pgl", "--genus", "3000", "--rank", "5", "--level", "6", "--d", "1"),
-             "462 subsets: 839449380 work units"),
+             "462 subsets: 131586840 work units"),
             # C(40, 12) subsets: the residue sum would run for hours.
             (("v", "--genus", "2", "--rank", "12", "--level", "28"), "5586853480 subsets"),
             # The h = 25 divisor alone needs C(125, 50) subsets; the summed
@@ -285,7 +287,7 @@ class TestExitCodes:
             (("v", "--genus", "1", "--rank", "300000", "--level", "300000"),
              "C(600000, 300000) needs words^2 for 600000 bits"),
         ],
-        ids=["census", "pgl", "pgl-genus", "v", "split", "crt", "denominator", "genus-1"],
+        ids=["census", "pgl", "pgl-genus-1000", "pgl-genus-3000", "v", "split", "crt", "denominator", "genus-1"],
     )
     def test_oversized_work_refuses_fast(self, capsys, argv, fact):
         start = time.perf_counter()

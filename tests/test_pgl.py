@@ -64,19 +64,6 @@ class TestValidation:
         assert time.perf_counter() - start < 0.1
 
 
-    def test_walk_price_grows_with_the_genus(self):
-        # Coefficients grow with g: v at (5, 6) ran 0.08 s at g = 3, 0.8 s at
-        # g = 300 and 5.6 s at g = 1000 on the same 466 620 base units.
-        base = math.comb(11, 5) * 10 * (1 + math.comb(5, 2) * 10)
-        for g, factor in [(1000, 1 + 999**2 * 10 // 50_000), (3000, 1 + 2999**2 * 10 // 50_000)]:
-            match = f"462 subsets: {base * factor} work units, over the budget of"
-            start = time.perf_counter()
-            with pytest.raises(HypothesisError, match=match):
-                pgl_dim_coperiodic(PglQuery(g, 5, 6, 1))
-            assert time.perf_counter() - start < 0.1
-        assert pgl_dim_coperiodic(PglQuery(30, 5, 6, 1)) == pgl_dim_charsum(PglQuery(30, 5, 6, 1))
-
-
 class TestCoperiod:
     def test_fully_periodic_subsets(self):
         assert coperiod(SubsetS(6, (1, 3, 5))) == CoperiodResult(3, SubsetS(2, (1,)))
@@ -142,6 +129,7 @@ class TestRoutesAgree:
             (1, 5, 5, 5),
             (2, 5, 5, 5),
             (1, 3, 9, 3),
+            (30, 5, 6, 1),  # coefficients of many words
         ],
     )
     def test_agreement_grid(self, g, r, k, d):

@@ -309,7 +309,6 @@ def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
     monkeypatch.setattr(verlinde, "_CHUNK", chunk)
     # Histograms cached by earlier tests would skip the merge across blocks.
     monkeypatch.setattr(verlinde, "_HISTOGRAMS", OrderedDict())
-    monkeypatch.setattr(verlinde, "_HISTOGRAM_CELLS", 0)
     for members, _ in verlinde._necklace_blocks(10, 4):
         assert len(members) <= chunk
     _assert_orbits_partition_subsets(10)
@@ -346,15 +345,11 @@ def test_mirror_orbits_share_histograms():
 @pytest.fixture
 def empty_histogram_cache(monkeypatch):
     monkeypatch.setattr(verlinde, "_HISTOGRAMS", OrderedDict())
-    monkeypatch.setattr(verlinde, "_HISTOGRAM_CELLS", 0)
     return verlinde._HISTOGRAMS
 
 
 def _cached_cells(cache):
-    # The running total the cache keeps must match its entries.
-    cells = sum(hist.size + weights.size for hist, weights, _ in cache.values())
-    assert verlinde._HISTOGRAM_CELLS == cells
-    return cells
+    return sum(hist.size + weights.size for hist, weights, _ in cache.values())
 
 
 def test_histograms_are_merged_once_per_n_and_r(monkeypatch, empty_histogram_cache):
@@ -397,7 +392,6 @@ def test_histogram_cache_holds_at_most_chunk_cells(monkeypatch, empty_histogram_
     hist, weights, _ = _distinct_histograms(13, 6)
     assert hist.size + weights.size == 592 and hist.flags.writeable
     assert list(cache) == [(10, 4), (12, 5)]
-    assert _cached_cells(cache) == 392
 
 
 def test_level_rank_check_caches_both_sides(empty_histogram_cache):
@@ -460,6 +454,27 @@ def test_crt_primes_are_minimal_prefixes_of_one_run(monkeypatch, n):
     assert all(p % n == 1 and _is_prime(p) for p in run)
     # The run grew only as far as the largest bit count asked for.
     assert run == longest
+
+
+def test_an_interrupted_draw_keeps_no_spent_run(monkeypatch):
+    monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
+    search = verlinde._primes_one_mod
+
+    def interrupted(n):
+        # Ctrl-C arrives while the third prime is being searched for.
+        for i, p in enumerate(search(n)):
+            if i == 2:
+                raise KeyboardInterrupt
+            yield p
+
+    monkeypatch.setattr(verlinde, "_primes_one_mod", interrupted)
+    assert _crt_primes(11, 40) == _fresh_crt_primes(11, 40)  # two primes
+    with pytest.raises(KeyboardInterrupt):
+        _crt_primes(11, 200)
+    assert 11 not in verlinde._PRIME_RUNS
+    monkeypatch.setattr(verlinde, "_primes_one_mod", search)
+    assert _crt_primes(11, 300) == _fresh_crt_primes(11, 300)
+    assert _crt_primes(11, 40) == _fresh_crt_primes(11, 40)
 
 
 def test_threads_drawing_a_new_run_get_the_same_primes(monkeypatch):
