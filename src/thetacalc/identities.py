@@ -43,6 +43,10 @@ def parse_range_spec(path: str) -> RangeSpec:
                 values[key] = tuple(int(p) for p in val.split(",") if p.strip())
             else:
                 raise ValueError(f"unknown range-spec key: {key!r}")
+            # A smaller value would sweep nothing for some case.
+            least = 2 if key == "n_max" else 1
+            if min(values[key] if key.endswith("_list") else [values[key]], default=0) < least:
+                raise ValueError(f"range-spec {key} needs values >= {least}, got {val!r}")
     return RangeSpec(**values)
 
 

@@ -30,11 +30,12 @@ production paths produce v_g:
     E_p = ceil((g-1) max_h sum_d h_d v_p(s_d)) over the histogram rows h,
     is an algebraic integer and rational, so a plain integer; D divides
     the cruder n^{2(g-1)C(r,2)} and is far smaller.  The CRT modulus is
-    sized from C(n, r) times the largest (positive) term times D, in
-    float64 log space plus an explicit float-error bound and two bits.
-    Work prices refuse a call before its first orbit, and twice (CRT tail,
-    gathers; `CRT_BUDGET`, `RESIDUE_BUDGET`) before its first prime.  Primes
-    are drawn once per n and process, roots of unity once per (n, p).
+    sized from C(n, r) times the largest (positive) term times D, in float64
+    log space plus an explicit float-error bound and two bits; both row maxima
+    scale by g - 1, so they are kept with the rows.  Work prices refuse a call
+    before its first orbit, and twice (CRT tail, gathers; `CRT_BUDGET`,
+    `RESIDUE_BUDGET`) before its first prime.  Each n keeps one descending
+    list of primes, searched further only when a call needs more.
 
 `_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
 is the reference oracle that the tests and the identity suite compare the
@@ -43,7 +44,6 @@ residue path against; production never calls it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import threading
@@ -208,10 +208,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_one_mod(n: int) -> Iterator[int]:
-    # Primes p = 1 (mod n) descending from 2^31; products of two residues
-    # then stay inside int64.
-    start = ((2**31 - 2) // n) * n + 1
+def _primes_one_mod(n: int, below: int = 2**31) -> Iterator[int]:
+    # Primes p = 1 (mod n) below `below` (at most 2^31), descending; products
+    # of two residues then stay inside int64.
+    start = ((below - 2) // n) * n + 1
     for p in range(start, n + 1, -n):
         if _is_prime(p):
             yield p
@@ -230,12 +230,13 @@ def _root_of_order(n: int, p: int) -> int:
 
 
 # (n, r) -> _distinct_histograms(n, r), least recently used first.  The
-# rows do not depend on the genus, so a sweep over g merges them once.
-_HISTOGRAMS: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray, list[int]]] = OrderedDict()
+# rows and their maxima do not depend on the genus, so a sweep over g
+# merges them once.
+_HISTOGRAMS: OrderedDict[tuple[int, int], tuple] = OrderedDict()
 _HISTOGRAMS_LOCK = threading.Lock()
 
 
-def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _distinct_histograms(n: int, r: int) -> tuple:
     # Kept in _HISTOGRAMS, read-only, while all entries together hold at most
     # _CHUNK cells (hist.size + weights.size); a larger result is not kept.
     # The key is (n, r) as called, never (n, n - r): level-rank compares two
@@ -245,25 +246,28 @@ def _distinct_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[i
         if key in _HISTOGRAMS:
             _HISTOGRAMS.move_to_end(key)
             return _HISTOGRAMS[key]
-    out = hist, weights, _ = _merge_histograms(n, r)
+    out = hist, weights, *_ = _merge_histograms(n, r)
     cells = hist.size + weights.size
     if cells <= _CHUNK:
         hist.flags.writeable = weights.flags.writeable = False
         with _HISTOGRAMS_LOCK:
-            kept = sum(h.size + w.size for h, w, _ in _HISTOGRAMS.values())
+            kept = sum(h.size + w.size for h, w, *_ in _HISTOGRAMS.values())
             while kept + cells > _CHUNK:
-                h, w, _ = _HISTOGRAMS.popitem(last=False)[1]
+                h, w, *_ = _HISTOGRAMS.popitem(last=False)[1]
                 kept -= h.size + w.size
             _HISTOGRAMS[key] = out
     return out
 
 
-def _merge_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _merge_histograms(n: int, r: int) -> tuple:
     # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
     # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
     # Blocks are sized by a row's C(r, 2) pair and n//2 + 1 histogram cells.
     # Also returns the columns some row uses: every other column is zero, so
     # the merge sorts on the used ones only (lexsort costs ~140 bytes a key).
+    # Last come the row maxima that `_crt_bound` scales by g - 1: per prime
+    # power q = p^a || n, (p, phi(q), max_h sum_d h_d w_d), and
+    # max_h sum_d h_d c_d with c_d = -log2 4 sin^2(pi d / n).
     width = n // 2 + 1
     idx_i, idx_j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # pairs i < j
     blocks = []
@@ -280,7 +284,14 @@ def _merge_histograms(n: int, r: int) -> tuple[np.ndarray, np.ndarray, list[int]
         order = np.lexsort([hist[:, d] for d in reversed(cols)])
         hist, weights = hist[order], weights[order]
     starts = np.flatnonzero(np.concatenate(([True], (hist[1:] != hist[:-1]).any(axis=1))))
-    return hist[starts], np.add.reduceat(weights, starts), cols
+    hist = hist[starts]
+    tops = []
+    for p, phi, weight in _valuation_weights(n):
+        used = (weight[d] * hist[:, d].astype(np.int64) for d in cols if d in weight)
+        tops.append((p, phi, int(sum(used, np.zeros(len(hist), np.int64)).max())))
+    costs = (hist[:, d] * -math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in cols)
+    cost = float(sum(costs, np.zeros(len(hist))).max())
+    return hist, np.add.reduceat(weights, starts), cols, tops, cost
 
 
 @lru_cache(maxsize=None)
@@ -298,33 +309,18 @@ def _valuation_weights(n: int) -> tuple[tuple[int, int, dict[int, int]], ...]:
     return tuple(out)
 
 
-def _clearing_denominator(n: int, g: int, hist: np.ndarray, cols: list[int]) -> list[tuple]:
-    """[(p, E_p)] for D = prod_{p | n} p^{E_p}, with the orbit sum times D an integer.
+def _crt_bound(n: int, r: int, g: int, tops: list, cost: float) -> tuple[list, int]:
+    """[(p, E_p)] for D = prod_{p | n} p^{E_p}, the orbit sum times D an integer,
+    and bits b such that every modulus M >= 2^b exceeds 2 |sum * D| + 1.
 
     A term prod_d s_d^{(1-g) h_d} has p-adic valuation (1-g) sum_d h_d v_p(s_d)
-    and is a unit away from the primes over n, so E_p is the largest
-    (g-1) sum_d h_d v_p(s_d) over the rows, rounded up.  Only the columns
-    cols, those some row uses, can contribute.  E_p grows with g, so D itself
-    is built only once the CRT tail's price admits the call.
+    and is a unit away from the primes over n, so E_p = ceil((g-1) top / phi(q)).
+    The terms are positive and their orbit sizes add up to C(n, r), so log2 sum
+    <= log2 C(n, r) + (g-1) cost.  D itself is built after the CRT tail's price.
     """
-    out = []
-    for p, phi, weight in _valuation_weights(n):
-        used = (weight[d] * hist[:, d].astype(np.int64) for d in cols if d in weight)
-        top = (g - 1) * int(sum(used, np.zeros(len(hist), np.int64)).max())
-        out.append((p, -(-top // phi)))
-    return out
-
-
-def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], exps: list) -> int:
-    """Bits b such that every modulus M >= 2^b exceeds 2 |sum * D| + 1, D = prod p^E_p."""
-    # Every term is positive and the orbit sizes add up to C(n, r), so
-    # log2 sum <= log2 C(n, r) + (g-1) max_h sum_d h_d c_d with
-    # c_d = -log2 4 sin^2(pi d / n), over the used columns d.
-    cost = {d: -math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in cols}
+    exps = [(p, -(-(g - 1) * top // phi)) for p, phi, top in tops]
     e = (g - 1) * (r * (r - 1) // 2)
-    rows = sum((hist[:, d] * c for d, c in cost.items()), np.zeros(len(hist)))
-    top = (g - 1) * float(rows.max())
-    log_bound = math.log2(math.comb(n, r)) + top + sum(x * math.log2(p) for p, x in exps)
+    log_bound = math.log2(math.comb(n, r)) + (g - 1) * cost + sum(x * math.log2(p) for p, x in exps)
     # Float error: each c_d is off by under 2^-47 (1 + |c_d|) (sin is well
     # conditioned on (0, pi/2]), |c_d| <= 2 log2 n, and a row sums <= n/2
     # products whose counts h_d add up to C(r, 2), so top is off by under
@@ -335,42 +331,34 @@ def _modulus_bits(n: int, r: int, g: int, hist: np.ndarray, cols: list[int], exp
     # grows like e, so it is added in full; one margin bit more covers the
     # factor 2, one the + 1.
     err = e * ((n + 2) * (1 + 2 * math.log2(n)) + 2 * math.log2(n)) * 2.0**-47
-    return math.ceil(log_bound + err) + 2
+    return exps, math.ceil(log_bound + err) + 2
 
 
-# n -> (primes p = 1 (mod n) drawn so far, descending; each prefix product's
-# bit length; the rest of the _primes_one_mod(n) search), kept for the process.
-_PRIME_RUNS: dict[int, tuple[list[int], list[int], Iterator[int]]] = {}
+# n -> the primes p = 1 (mod n) found so far, descending; kept for the process.
+_PRIME_RUNS: dict[int, list[int]] = {}
 _PRIME_RUNS_LOCK = threading.Lock()
 
 
 def _crt_primes(n: int, bits: int) -> tuple[int, ...]:
-    # The fewest primes p = 1 (mod n) whose product reaches 2^bits: the shortest
-    # such prefix of n's run, which is drawn further only when none is.
+    # The fewest primes p = 1 (mod n) whose product passes 2^bits: the shortest
+    # such prefix of n's list, which is searched further, below its last
+    # prime, only when none is.  An interrupted search keeps what it found.
     with _PRIME_RUNS_LOCK:
-        if n not in _PRIME_RUNS:
-            _PRIME_RUNS[n] = [], [], _primes_one_mod(n)
-        run, sizes, rest = _PRIME_RUNS[n]
-        if not sizes or sizes[-1] <= bits:
-            try:
-                modulus = math.prod(run)
-                for p in rest:
-                    run.append(p)
-                    modulus *= p
-                    sizes.append(modulus.bit_length())
-                    if sizes[-1] > bits:
-                        break
-                else:
-                    raise HypothesisError(
-                        f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
-                        f"the value; n = r + k = {n} is too large"
-                    )
-            except BaseException:
-                # A draw cut short (an interrupt, a spent search) keeps no
-                # finished generator: the next call searches afresh.
-                del _PRIME_RUNS[n]
-                raise
-        return tuple(run[: bisect.bisect_right(sizes, bits) + 1])
+        run = _PRIME_RUNS.setdefault(n, [])
+        modulus = 1
+        for i, p in enumerate(run):
+            modulus *= p
+            if modulus.bit_length() > bits:
+                return tuple(run[: i + 1])
+        for p in _primes_one_mod(n, run[-1] if run else 2**31):
+            run.append(p)
+            modulus *= p
+            if modulus.bit_length() > bits:
+                return tuple(run)
+    raise HypothesisError(
+        f"the primes p = 1 (mod {n}) below 2^31 are too few to recover "
+        f"the value; n = r + k = {n} is too large"
+    )
 
 
 def orbit_price(n: int, r: int) -> int:
@@ -407,9 +395,8 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
     what = f"the residue sum over C({n}, {r}) = {math.comb(n, r)} subsets needs"
     check_price(orbit_price(n, r), RESIDUE_BUDGET, f"{what} orbits x (pairs + cells)")
     # Columns no row uses multiply every term by T[0] = 1; they are skipped.
-    hist, weights, cols = _distinct_histograms(n, r)
-    exps = _clearing_denominator(n, g, hist, cols)
-    bits = _modulus_bits(n, r, g, hist, cols, exps)
+    hist, weights, cols, tops, cost = _distinct_histograms(n, r)
+    exps, bits = _crt_bound(n, r, g, tops, cost)
     tail = f"{what} primes x (search + Garner) + words^2 / 16 for {bits} CRT bits"
     check_price(crt_price(n, r, g, bits), CRT_BUDGET, tail)
     denom = math.prod(p**x for p, x in exps)

@@ -232,6 +232,30 @@ class TestExitCodes:
         assert code == 3
         assert "bogus_key" in err
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("g_max=0", "g_max"),
+            ("n_max=-5", "n_max"),
+            ("n_max=1", "n_max"),
+            ("d_list=-1", "d_list"),
+            ("d_list=0", "d_list"),
+            ("h_list=0", "h_list"),
+            ("h_list=3, 0", "h_list"),
+            ("h_list=", "h_list"),
+        ],
+    )
+    def test_range_spec_that_sweeps_nothing_exits_3_before_any_case(
+        self, capsys, tmp_path, spec, key
+    ):
+        path = tmp_path / "range.txt"
+        path.write_text(spec + "\n")
+        code, out, err = run_cli(capsys, "identities", "--range-spec", str(path))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and key in err
+
     def test_zero_denominator_fraction_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "fm", "--genus", "2", "--rank", "3", "--slope", "1/0")
         assert code == 3

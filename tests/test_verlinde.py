@@ -31,12 +31,12 @@ from thetacalc.exactnum import (
 from thetacalc.verlinde import (
     SubsetS,
     VerlindeQuery,
-    _clearing_denominator,
     _column_table,
+    _crt_bound,
     _crt_primes,
     _distinct_histograms,
     _is_prime,
-    _modulus_bits,
+    _merge_histograms,
     _primes_one_mod,
     _root_of_order,
     _v_exact,
@@ -337,7 +337,7 @@ def test_wide_rows_keep_the_enumerator_frontier_small():
 
 def test_mirror_orbits_share_histograms():
     for n, r in [(13, 6), (14, 7)]:
-        hist, weights, _ = _distinct_histograms(n, r)
+        hist, weights, *_ = _distinct_histograms(n, r)
         assert len(hist) < sum(1 for _ in necklace_orbits(n, r))
         assert int(weights.sum()) == math.comb(n, r)
 
@@ -349,7 +349,7 @@ def empty_histogram_cache(monkeypatch):
 
 
 def _cached_cells(cache):
-    return sum(hist.size + weights.size for hist, weights, _ in cache.values())
+    return sum(hist.size + weights.size for hist, weights, *_ in cache.values())
 
 
 def test_histograms_are_merged_once_per_n_and_r(monkeypatch, empty_histogram_cache):
@@ -367,7 +367,7 @@ def test_histograms_are_merged_once_per_n_and_r(monkeypatch, empty_histogram_cac
 
 
 def test_cached_histograms_are_read_only(empty_histogram_cache):
-    hist, weights, _ = _distinct_histograms(12, 5)
+    hist, weights, *_ = _distinct_histograms(12, 5)
     assert not hist.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         hist[0, 1] = 0
@@ -389,7 +389,7 @@ def test_histogram_cache_holds_at_most_chunk_cells(monkeypatch, empty_histogram_
     assert list(cache) == [(10, 4), (12, 5)]
     assert _cached_cells(cache) == 392
     # An entry over the bound is returned but not kept, and evicts nothing.
-    hist, weights, _ = _distinct_histograms(13, 6)
+    hist, weights, *_ = _distinct_histograms(13, 6)
     assert hist.size + weights.size == 592 and hist.flags.writeable
     assert list(cache) == [(10, 4), (12, 5)]
 
@@ -447,7 +447,7 @@ def test_crt_primes_are_minimal_prefixes_of_one_run(monkeypatch, n):
         assert math.prod(primes).bit_length() > bits
         # Minimal; at bits = 0 (the existence probe) it is one prime.
         assert math.prod(primes[:-1]).bit_length() <= max(bits, 1)
-        run = tuple(verlinde._PRIME_RUNS[n][0])
+        run = tuple(verlinde._PRIME_RUNS[n])
         assert run[: len(primes)] == primes and run[: len(longest)] == longest
         longest = max(longest, primes, key=len)
     assert list(run) == sorted(run, reverse=True)
@@ -460,30 +460,28 @@ def test_an_interrupted_draw_keeps_no_spent_run(monkeypatch):
     monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
     search = verlinde._primes_one_mod
 
-    def interrupted(n):
-        # Ctrl-C arrives while the third prime is being searched for.
-        for i, p in enumerate(search(n)):
-            if i == 2:
-                raise KeyboardInterrupt
-            yield p
+    def interrupted(*args):
+        # Ctrl-C arrives while the second new prime is being searched for.
+        found = search(*args)
+        yield next(found)
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(verlinde, "_primes_one_mod", interrupted)
     assert _crt_primes(11, 40) == _fresh_crt_primes(11, 40)  # two primes
+    monkeypatch.setattr(verlinde, "_primes_one_mod", interrupted)
     with pytest.raises(KeyboardInterrupt):
         _crt_primes(11, 200)
-    assert 11 not in verlinde._PRIME_RUNS
     monkeypatch.setattr(verlinde, "_primes_one_mod", search)
-    assert _crt_primes(11, 300) == _fresh_crt_primes(11, 300)
-    assert _crt_primes(11, 40) == _fresh_crt_primes(11, 40)
+    for bits in [300, 40, 100, 0, 500, 61]:
+        assert _crt_primes(11, bits) == _fresh_crt_primes(11, bits), bits
 
 
 def test_threads_drawing_a_new_run_get_the_same_primes(monkeypatch):
     monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
     search = verlinde._primes_one_mod
 
-    def slow_search(n):
+    def slow_search(*args):
         # A pause between draws gives the other thread room to interleave.
-        for p in search(n):
+        for p in search(*args):
             time.sleep(0.001)
             yield p
 
@@ -528,9 +526,8 @@ def test_column_tables_match_plain_powers():
 def _assert_modulus_covers(n, r, g):
     # D divides the old clearing factor n^{2e}, the orbit sum times D is an
     # integer, and the CRT modulus recovers it with its sign.
-    hist, _, cols = _distinct_histograms(n, r)
-    exps = _clearing_denominator(n, g, hist, cols)
-    modulus = math.prod(_crt_primes(n, _modulus_bits(n, r, g, hist, cols, exps)))
+    exps, bits = _crt_bound(n, r, g, *_distinct_histograms(n, r)[3:])
+    modulus = math.prod(_crt_primes(n, bits))
     denom = math.prod(p**x for p, x in exps)
     e = (g - 1) * math.comb(r, 2)
     assert n ** (2 * e) % denom == 0, (g, n, r)
@@ -555,18 +552,56 @@ def test_crt_modulus_covers_the_value_and_beats_the_worst_case():
         if modulus > 2 * bound + 1:
             break
         old, modulus = old + 1, modulus * p
-    hist, _, cols = _distinct_histograms(n, r)
-    bits = _modulus_bits(n, r, g, hist, cols, _clearing_denominator(n, g, hist, cols))
+    _, bits = _crt_bound(n, r, g, *_distinct_histograms(n, r)[3:])
     assert len(_crt_primes(n, bits)) < old
+
+
+LARGE_GENUS_SMALL_LEVEL = [(3, 2), (4, 2), (4, 3), (5, 3), (6, 3), (6, 2)]
 
 
 def test_large_genus_small_level_keeps_the_modulus_rigorous():
     # At large g and small k the sine powers nearly cancel log2 D in the
     # bit count while its float error grows with e = (g-1) C(r, 2).
-    for n, r in [(3, 2), (4, 2), (4, 3), (5, 3), (6, 3), (6, 2)]:
+    for n, r in LARGE_GENUS_SMALL_LEVEL:
         for g in (17, 60, 151):
             _assert_modulus_covers(n, r, g)
             assert _v_modular(n, r, g) == _v_exact(n, r, g), (g, n, r)
+
+
+def _clearing_denominator_by_rows(n, g, hist, cols):
+    # The bound as it read every row on every call: [(p, E_p)].
+    out = []
+    for p, phi, weight in verlinde._valuation_weights(n):
+        used = (weight[d] * hist[:, d].astype(np.int64) for d in cols if d in weight)
+        top = (g - 1) * int(sum(used, np.zeros(len(hist), np.int64)).max())
+        out.append((p, -(-top // phi)))
+    return out
+
+
+def _modulus_bits_by_rows(n, r, g, hist, cols, exps):
+    cost = {d: -math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in cols}
+    e = (g - 1) * (r * (r - 1) // 2)
+    rows = sum((hist[:, d] * c for d, c in cost.items()), np.zeros(len(hist)))
+    top = (g - 1) * float(rows.max())
+    log_bound = math.log2(math.comb(n, r)) + top + sum(x * math.log2(p) for p, x in exps)
+    err = e * ((n + 2) * (1 + 2 * math.log2(n)) + 2 * math.log2(n)) * 2.0**-47
+    return math.ceil(log_bound + err) + 2
+
+
+def test_stored_row_maxima_give_the_bound_of_the_rows(empty_histogram_cache):
+    # The maxima kept with the rows give the same exponents and bits as the
+    # rows read again for each genus, from a fresh merge and from the cache.
+    cases = [(n, r, g) for n in range(2, 17) for r in range(1, n) for g in range(2, 6)]
+    cases += [(n, r, g) for n, r in LARGE_GENUS_SMALL_LEVEL for g in (17, 60, 151, 1000, 20000)]
+    for n, r, g in cases:
+        fresh = _merge_histograms(n, r)
+        cached = _distinct_histograms(n, r)
+        assert _distinct_histograms(n, r) is cached
+        hist, _, cols, *_ = fresh
+        exps = _clearing_denominator_by_rows(n, g, hist, cols)
+        expected = exps, _modulus_bits_by_rows(n, r, g, hist, cols, exps)
+        assert _crt_bound(n, r, g, *fresh[3:]) == expected, (n, r, g)
+        assert _crt_bound(n, r, g, *cached[3:]) == expected, (n, r, g)
 
 
 def test_denominator_clears_every_term_and_no_more():
@@ -577,8 +612,8 @@ def test_denominator_clears_every_term_and_no_more():
     for g in (2, 3):
         for n in range(2, 13):
             for r in range(2, n):
-                hist, _, cols = _distinct_histograms(n, r)
-                denom = math.prod(p**x for p, x in _clearing_denominator(n, g, hist, cols))
+                exps, _ = _crt_bound(n, r, g, *_distinct_histograms(n, r)[3:])
+                denom = math.prod(p**x for p, x in exps)
                 terms = []
                 for members, _ in necklace_orbits(n, r):
                     term = CycNum.from_rational(n, 1)
@@ -714,15 +749,14 @@ def test_crt_tail_is_priced_before_the_first_prime(monkeypatch):
     # The modulus bits and the prefactor exponent r(g - 1) fix the CRT tail's
     # price: v_50000(2, 3) needs about 1 160 primes, and none is drawn.
     n, r, g = 5, 2, 50_000
-    hist, _, cols = _distinct_histograms(n, r)
-    bits = _modulus_bits(n, r, g, hist, cols, _clearing_denominator(n, g, hist, cols))
+    _, bits = _crt_bound(n, r, g, *_distinct_histograms(n, r)[3:])
     price = verlinde.crt_price(n, r, g, bits)
     assert price > verlinde.crt_price(n, r, g // 2, bits // 2) > 0
     # A fresh run for n: the existence probe draws its one prime before any
     # price, and nothing may draw past it.
     monkeypatch.setattr(verlinde, "_PRIME_RUNS", {})
     _crt_primes(n, 0)
-    run = verlinde._PRIME_RUNS[n][0]
+    run = verlinde._PRIME_RUNS[n]
     assert len(run) == 1
 
     def no_primes(*args):
@@ -733,4 +767,4 @@ def test_crt_tail_is_priced_before_the_first_prime(monkeypatch):
     monkeypatch.setattr(verlinde, "CRT_BUDGET", price - 1)
     with pytest.raises(HypothesisError, match=f"for {bits} CRT bits: {price} work units"):
         _v_modular(n, r, g)
-    assert verlinde._PRIME_RUNS[n][0] is run and len(run) == 1
+    assert verlinde._PRIME_RUNS[n] is run and len(run) == 1
