@@ -15,8 +15,8 @@ The quantities of interest are the sine squares
     |2 sin(pi d / n)|^2 = 2 - zeta_n^d - zeta_n^{-d},
 
 so everything stays inside the conductor-n field; no half-angle roots of
-unity ever appear.  Their powers come from one memoised function,
-sine_power, shared by every sum that needs them.
+unity ever appear.  sine_square memoises them; their powers are formed
+where a sum needs them.
 """
 
 from __future__ import annotations
@@ -335,16 +335,3 @@ def sine_square(n: int, d: int) -> CycNum:
         raise ValueError("angle is a multiple of pi; the sine vanishes")
     return CycNum.from_rational(n, 2) - CycNum.zeta(n, d) - CycNum.zeta(n, -d)
 
-
-@lru_cache(maxsize=None)
-def sine_power(n: int, d: int, e: int) -> CycNum:
-    """sine_square(n, d) ** e, memoised.
-
-    The sine-product sums raise the same few sine squares to the same few
-    (mostly negative) powers for every subset or orbit, so each power is
-    computed once per process, and all negative powers of one sine square
-    share a single inverse.
-    """
-    if e < -1:
-        return sine_power(n, d, -1) ** -e
-    return sine_square(n, d) ** e

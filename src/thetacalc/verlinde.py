@@ -62,7 +62,7 @@ from .exactnum import (
     check_price,
     extract_rational,
     factorize,
-    sine_power,
+    sine_square,
 )
 
 _CHUNK = 1 << 20  # cells (rows x columns) in one block of the residue pipeline
@@ -115,8 +115,8 @@ def _difference_multiset(members: tuple[int, ...], n: int) -> Counter[int]:
 def subset_term(S: SubsetS, g: int) -> CycNum:
     """One summand: prod over unordered pairs of (2 - zeta^d - zeta^{-d})^{1-g}.
 
-    Equal differences are grouped, and each grouped power comes from the
-    memoised sine_power.  For g = 1 the term is 1 for every subset.
+    Equal differences are grouped into one power of their sine square, so
+    the term depends only on the difference multiset.  For g = 1 it is 1.
     """
     if g < 1:
         raise HypothesisError(f"genus must be >= 1, got {g}")
@@ -124,7 +124,7 @@ def subset_term(S: SubsetS, g: int) -> CycNum:
     if g == 1:
         return term
     for d, mult in sorted(_difference_multiset(S.members, S.n).items()):
-        term = term * sine_power(S.n, d, (1 - g) * mult)
+        term = term * sine_square(S.n, d) ** ((1 - g) * mult)
     return term
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -467,13 +468,21 @@ class TestOneParserPerProcess:
             ["split", "--genus", "1", "--rank", "1", "--level", "1", "--h", "4"],
             ["v", "--genus", "2", "--rank", "2", "--level", "1", "--mode", "float"],
             ["fm", "--genus", "2", "--rank", "3", "--slope", "5/3"],
+            ["pgl", "--genus", "2000", "--rank", "3", "--level", "6", "--d", "3"],
+            ["pgl", "--genus", "1", "--rank", "1", "--level", "5999", "--d", "1"],
+            ["pgl", "--genus", "1000", "--rank", "5", "--level", "6", "--d", "1"],
         ]
         here = [run_cli(capsys, *argv) for argv in argvs]
+        # No answer depends on what the process computed before it.
+        order = list(range(len(argvs)))
+        random.Random(20).shuffle(order)
+        again = {i: run_cli(capsys, *argvs[i]) for i in order}
+        assert [again[i][:2] for i in range(len(argvs))] == [h[:2] for h in here]
         code = "import sys; from thetacalc import cli; sys.exit(cli.run(sys.argv[1:]))"
         for argv, (status, out, _) in zip(argvs, here):
             alone = _fresh_process(code, *argv)
             assert (status, out) == (alone.returncode, alone.stdout), argv
-        assert [status for status, _, _ in here] == [0, 3, 0, 0, 0, 0, 1, 0, 0]
+        assert [status for status, _, _ in here] == [0, 3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
         assert here[1][2].startswith("usage: thetacalc dim")
         assert here[2][1] == "rank=3/16 slope=4\n"
         assert here[4][1].startswith("usage: thetacalc")

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from thetacalc.exactnum import HypothesisError
+from thetacalc import pgl
+from thetacalc.exactnum import CycNum, HypothesisError, extract_rational
 from thetacalc.pgl import (
     COPERIODIC_BUDGET,
     CoperiodResult,
@@ -20,7 +21,29 @@ from thetacalc.pgl import (
     pgl_dim_coperiodic,
     xi_weight,
 )
-from thetacalc.verlinde import SubsetS, VerlindeQuery, all_subsets, verlinde_dim
+from thetacalc.verlinde import SubsetS, VerlindeQuery, all_subsets, subset_term, verlinde_dim
+
+GRID = [
+    (1, 3, 3, 3),
+    (2, 3, 3, 3),
+    (3, 3, 3, 3),
+    (1, 3, 6, 3),
+    (2, 3, 6, 3),
+    (1, 9, 3, 3),
+    (1, 5, 5, 5),
+    (2, 5, 5, 5),
+    (1, 3, 9, 3),
+    (30, 5, 6, 1),  # coefficients of many words
+]
+
+
+def per_subset_sum(q):
+    """The coperiodic sum with one subset_term per subset, ungrouped."""
+    total = CycNum.from_rational(q.n, 0)
+    for S in all_subsets(q.n, q.r):
+        total = total + subset_term(S, q.g) * xi_weight(S, q.d, q.g)
+    prefactor = Fraction(q.r) ** q.g * Fraction(q.n) ** ((q.r - 1) * (q.g - 1) - 1)
+    return prefactor * extract_rational(total)
 
 
 class TestValidation:
@@ -117,24 +140,29 @@ class TestRoutesAgree:
             assert pgl_dim_charsum(q) == dim
             assert pgl_dim_coperiodic(q) == dim
 
-    @pytest.mark.parametrize(
-        "g,r,k,d",
-        [
-            (1, 3, 3, 3),
-            (2, 3, 3, 3),
-            (3, 3, 3, 3),
-            (1, 3, 6, 3),
-            (2, 3, 6, 3),
-            (1, 9, 3, 3),
-            (1, 5, 5, 5),
-            (2, 5, 5, 5),
-            (1, 3, 9, 3),
-            (30, 5, 6, 1),  # coefficients of many words
-        ],
-    )
+    @pytest.mark.parametrize("g,r,k,d", GRID + [(800, 5, 6, 1), (2000, 3, 6, 3)])
     def test_agreement_grid(self, g, r, k, d):
         q = PglQuery(g, r, k, d)
         assert pgl_dim_charsum(q) == pgl_dim_coperiodic(q)
+
+    @pytest.mark.parametrize(
+        "g,r,k,d", GRID + [(100, 5, 6, 1), (2000, 3, 6, 3), (2, 1, 199, 1)]
+    )
+    def test_grouped_walk_equals_per_subset_sum(self, g, r, k, d):
+        q = PglQuery(g, r, k, d)
+        assert pgl_dim_coperiodic(q) == per_subset_sum(q)
+
+    def test_one_term_per_difference_multiset(self, monkeypatch):
+        calls = []
+
+        def counted(S, g):
+            calls.append(S)
+            return subset_term(S, g)
+
+        monkeypatch.setattr(pgl, "subset_term", counted)
+        q = PglQuery(3, 5, 6, 1)
+        assert pgl_dim_coperiodic(q) == pgl_dim_charsum(q)
+        assert len(calls) == 26  # among C(11, 5) = 462 subsets
 
 
 class TestSineIdentity:

@@ -26,7 +26,7 @@ from thetacalc.exactnum import (
     euler_phi,
     extract_rational,
     factorize,
-    sine_power,
+    sine_square,
 )
 from thetacalc.verlinde import (
     SubsetS,
@@ -618,7 +618,7 @@ def test_denominator_clears_every_term_and_no_more():
                 for members, _ in necklace_orbits(n, r):
                     term = CycNum.from_rational(n, 1)
                     for d, mult in verlinde._difference_multiset(members, n).items():
-                        term = term * sine_power(n, d, (1 - g) * mult)
+                        term = term * sine_square(n, d) ** ((1 - g) * mult)
                     terms.append(term)
                 assert all((t * denom).den == 1 for t in terms), (g, n, r)
                 for p, _ in factorize(denom):
@@ -633,10 +633,10 @@ def test_sine_squares_are_units_or_divide_p_squared():
         for d in range(1, n // 2 + 1):
             m = n // math.gcd(n, d)
             if len(factorize(m)) > 1:
-                assert sine_power(n, d, -1).den == 1, (n, d)
+                assert (sine_square(n, d) ** -1).den == 1, (n, d)
                 continue
             ((p, _),) = factorize(m)
-            x = sine_power(n, d, -euler_phi(m)) * (p * p)
+            x = sine_square(n, d) ** -euler_phi(m) * (p * p)
             assert x.den == 1 and x.inverse().den == 1, (n, d)
 
 
