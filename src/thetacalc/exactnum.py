@@ -243,7 +243,7 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """Multiplicative inverse through the Galois norm.
+        """Multiplicative inverse through the Galois norm, or directly if rational.
 
         With c the product of the conjugates sigma_t(a) over the units
         t != 1 mod n, the norm N(a) = a * c is a nonzero rational, so
@@ -253,6 +253,8 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero")
         n = self.conductor
+        if self.is_rational():
+            return CycNum.from_rational(n, Fraction(self.den, self.nums[0]))
         cofactor = CycNum.zeta(n, 0)
         for t in range(2, n):
             if math.gcd(t, n) == 1:

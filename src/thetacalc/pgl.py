@@ -17,17 +17,18 @@ projectively invariant theta functions is computed two ways:
     delta_S being the coperiod of S (the largest delta with S + n/delta = S),
     and evaluate
 
-        r^g * (r+k)^{(r-1)(g-1)-1} * sum_S xi_d(S) * subset_term(S, g)
+        r^g * (r+k)^{(r-1)(g-1)-1} * sum_S xi_d(S) * prod_{pairs} s_d^{1-g}
 
-    by plain enumeration.  subset_term depends only on the pair-difference
-    multiset of S, so xi_d is summed per multiset and each term built once.
-    The exponent may be negative; arithmetic stays rational throughout.
+    by plain enumeration, s_d = 2 - zeta^d - zeta^{-d}; `verlinde.subset_sum`
+    adds xi_d per pair-difference multiset and builds each term once.  The
+    exponent may be negative; arithmetic stays rational throughout.
 
-The two routes share only the exact cyclotomic arithmetic and the single
-subset_term helper; agreement of their outputs is the point of keeping
-both.  The supporting trigonometric facts have their own checkers here:
-the sine multiplication rule underlying the coperiodic collapse, and the
-factorization of a coperiodic subset's pair product through its core.
+The character sum reads `v_number` (the residue path at genus >= 2), the
+subset sum exact cyclotomic arithmetic, as `verlinde._v_exact` does; their
+agreement is the point of keeping both.  The supporting trigonometric facts
+have their own checkers here: the sine multiplication rule underlying the
+coperiodic collapse, and the factorization of a coperiodic subset's pair
+product through its core.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ from .exactnum import (
     sine_square,
 )
 from .torsion import count_order, divisors
-from .verlinde import (
-    SubsetS, VerlindeQuery, _difference_multiset, all_subsets, subset_term, v_number
-)
+from .verlinde import SubsetS, VerlindeQuery, all_subsets, subset_sum, v_number
 
 # Work units of one coperiodic walk, C(n, r) phi(n) (1 + C(r, 2) phi(n)),
 # times 1 + (g-1)^2 (C(r, 2) + 10) // 640 000 when r > 1, for coefficients
-# that grow with g.  It still counts a term per subset, though the walk builds
-# one per difference multiset: walks at the budget take 0.2-0.9 s on a 2-vCPU VM.
+# that grow with g.  It counts a term per subset, though `subset_sum` builds one
+# per difference multiset: walks at the budget take 0.03-0.3 s on a 2-vCPU VM.
 COPERIODIC_BUDGET = 10_000_000
 
 
@@ -164,14 +163,7 @@ def pgl_dim_coperiodic(q: PglQuery) -> int:
     growth = 1 + (g - 1) ** 2 * (pairs + 10) // 640_000 if pairs else 1
     price = subsets * phi * (1 + pairs * phi) * growth
     check_price(price, COPERIODIC_BUDGET, f"coperiodic walk over C({n}, {r}) = {subsets} subsets")
-    groups: dict[frozenset, tuple[SubsetS, Fraction]] = {}
-    for S in all_subsets(n, r):
-        key = frozenset(_difference_multiset(S.members, n).items())
-        rep, weight = groups.get(key, (S, 0))
-        groups[key] = rep, weight + xi_weight(S, d, g)
-    total = CycNum.from_rational(n, 0)
-    for S, weight in groups.values():
-        total = total + subset_term(S, g) * weight
+    total = subset_sum(n, g, ((S.members, xi_weight(S, d, g)) for S in all_subsets(n, r)))
     prefactor = Fraction(r) ** g * Fraction(n) ** ((r - 1) * (g - 1) - 1)
     result = prefactor * extract_rational(total)
     if result.denominator != 1 or result <= 0:

@@ -13,8 +13,8 @@ The dimension of the space of level-k theta functions on the rank-r moduli
 space is r^g / n^g * v_g(r, k), a positive integer.
 
 Terms depend on a subset only through its cyclic difference multiset, so the
-sum is taken over necklace representatives weighted by orbit size.  Two
-production paths produce v_g:
+sum is taken over necklace representatives weighted by orbit size, and each
+distinct multiset's term is formed once.  Two production paths produce v_g:
 
   * genus 1: every term is 1 and the prefactor exponent is 0, so
     v_1(r, k) = C(r+k, r), priced by its size before it is computed;
@@ -37,9 +37,9 @@ production paths produce v_g:
     `RESIDUE_BUDGET`) before its first prime.  Each n keeps one descending
     list of primes, searched further only when a call needs more.
 
-`_v_exact` evaluates the same orbit sum in exact cyclotomic arithmetic.  It
-is the reference oracle that the tests and the identity suite compare the
-residue path against; production never calls it.
+`_v_exact` evaluates the same orbit sum exactly with `subset_sum`, as `pgl`'s
+coperiodic route does.  It is the reference oracle that the tests and the
+identity suite compare the residue path against; production never calls it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,20 +112,27 @@ def _difference_multiset(members: tuple[int, ...], n: int) -> Counter[int]:
     return Counter(min(t - s, n - t + s) for s, t in itertools.combinations(members, 2))
 
 
-def subset_term(S: SubsetS, g: int) -> CycNum:
-    """One summand: prod over unordered pairs of (2 - zeta^d - zeta^{-d})^{1-g}.
+def subset_term(n: int, multiset: tuple[tuple[int, int], ...], g: int) -> CycNum:
+    """(prod_d s_d^{m_d})^{1-g}, the summand of every subset whose difference
+    multiset is ((d, m_d), ...): one inverse, and 1 for a subset without pairs."""
+    term = CycNum.from_rational(n, 1)
+    for d, mult in multiset:
+        term = term * sine_square(n, d) ** mult
+    return term ** (1 - g) if multiset else term
 
-    Equal differences are grouped into one power of their sine square, so
-    the term depends only on the difference multiset.  For g = 1 it is 1.
-    """
+
+def subset_sum(n: int, g: int, weighted: Iterable[tuple[tuple, Fraction | int]]) -> CycNum:
+    """Sum of weight * subset_term over (members, weight) pairs, members an
+    r-subset of {1, ..., n}; the weights are added per difference multiset."""
     if g < 1:
         raise HypothesisError(f"genus must be >= 1, got {g}")
-    term = CycNum.from_rational(S.n, 1)
     if g == 1:
-        return term
-    for d, mult in sorted(_difference_multiset(S.members, S.n).items()):
-        term = term * sine_square(S.n, d) ** ((1 - g) * mult)
-    return term
+        return CycNum.from_rational(n, sum(weight for _, weight in weighted))
+    groups: Counter[tuple[tuple[int, int], ...]] = Counter()
+    for members, weight in weighted:
+        groups[tuple(sorted(_difference_multiset(members, n).items()))] += weight
+    terms = (subset_term(n, multiset, g) * weight for multiset, weight in groups.items())
+    return sum(terms, CycNum.from_rational(n, 0))
 
 
 def _necklace_blocks(
@@ -423,9 +430,7 @@ def _v_modular(n: int, r: int, g: int) -> Fraction:
 
 def _v_exact(n: int, r: int, g: int) -> Fraction:
     """Orbit sum in exact cyclotomic arithmetic; reference oracle only."""
-    total = CycNum.from_rational(n, 0)
-    for members, weight in necklace_orbits(n, r):
-        total = total + weight * subset_term(SubsetS(n, members), g)
+    total = subset_sum(n, g, necklace_orbits(n, r))
     return Fraction(n) ** (r * (g - 1)) * extract_rational(total)
 
 

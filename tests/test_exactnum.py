@@ -96,6 +96,17 @@ def test_inverse_of_rational_two():
     assert two.inverse() == CycNum.from_rational(5, Fraction(1, 2))
 
 
+def test_rational_inverse_takes_no_conjugates(monkeypatch):
+    # A rational needs no Galois norm, so a large conductor costs nothing.
+    calls = []
+    galois = CycNum.galois
+    monkeypatch.setattr(CycNum, "galois", lambda a, t: calls.append(t) or galois(a, t))
+    for q in (Fraction(-5, 7), Fraction(5, 7), Fraction(-3), Fraction(1)):
+        assert CycNum.from_rational(6000, q).inverse() == CycNum.from_rational(6000, 1 / q)
+    assert CycNum.from_rational(6000, -5) / 7 == CycNum.from_rational(6000, Fraction(-5, 7))
+    assert calls == []
+
+
 def test_sine_square_of_conductor_three_is_rational_three():
     # zeta_3 + zeta_3^2 = -1, so 2 - zeta - zeta^{-1} = 3.
     val = sine_square(3, 1)

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from thetacalc import pgl
 from thetacalc.exactnum import CycNum, HypothesisError, extract_rational
 from thetacalc.pgl import (
     COPERIODIC_BUDGET,
@@ -21,7 +20,9 @@ from thetacalc.pgl import (
     pgl_dim_coperiodic,
     xi_weight,
 )
-from thetacalc.verlinde import SubsetS, VerlindeQuery, all_subsets, subset_term, verlinde_dim
+from thetacalc.verlinde import (
+    SubsetS, VerlindeQuery, _v_exact, all_subsets, subset_sum, verlinde_dim
+)
 
 GRID = [
     (1, 3, 3, 3),
@@ -38,10 +39,10 @@ GRID = [
 
 
 def per_subset_sum(q):
-    """The coperiodic sum with one subset_term per subset, ungrouped."""
+    """The coperiodic sum with one term per subset, ungrouped."""
     total = CycNum.from_rational(q.n, 0)
     for S in all_subsets(q.n, q.r):
-        total = total + subset_term(S, q.g) * xi_weight(S, q.d, q.g)
+        total = total + subset_sum(q.n, q.g, [(S.members, 1)]) * xi_weight(S, q.d, q.g)
     prefactor = Fraction(q.r) ** q.g * Fraction(q.n) ** ((q.r - 1) * (q.g - 1) - 1)
     return prefactor * extract_rational(total)
 
@@ -153,16 +154,25 @@ class TestRoutesAgree:
         assert pgl_dim_coperiodic(q) == per_subset_sum(q)
 
     def test_one_term_per_difference_multiset(self, monkeypatch):
+        # Each multiset's term costs one inverse, of its positive pair product.
         calls = []
+        inverse = CycNum.inverse
 
-        def counted(S, g):
-            calls.append(S)
-            return subset_term(S, g)
+        def counted(a):
+            calls.append(a)
+            return inverse(a)
 
-        monkeypatch.setattr(pgl, "subset_term", counted)
+        monkeypatch.setattr(CycNum, "inverse", counted)
         q = PglQuery(3, 5, 6, 1)
         assert pgl_dim_coperiodic(q) == pgl_dim_charsum(q)
         assert len(calls) == 26  # among C(11, 5) = 462 subsets
+        calls.clear()
+        _v_exact(11, 4, 3)
+        assert len(calls) == 20  # the distinct multisets of 30 necklace orbits
+        calls.clear()
+        for q in [PglQuery(1, 5, 6, 1), PglQuery(2, 1, 199, 1)]:
+            assert pgl_dim_coperiodic(q) == pgl_dim_charsum(q)
+        assert calls == []  # genus 1 has no term to build, rank 1 no pair
 
 
 class TestSineIdentity:

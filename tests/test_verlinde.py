@@ -44,7 +44,7 @@ from thetacalc.verlinde import (
     all_subsets,
     check_level_rank_symmetry,
     necklace_orbits,
-    subset_term,
+    subset_sum,
     v_number,
     v_number_float,
     verlinde_dim,
@@ -224,18 +224,18 @@ def test_subset_validation():
 
 def test_subset_term_examples():
     one = CycNum.from_rational(7, 1)
-    assert subset_term(SubsetS(7, (1,)), 5) == one
+    assert subset_sum(7, 5, [((1,), 1)]) == one
     # {1,2} in {1,2,3}: 4 sin^2(pi/3) = 3, exponent -1 at genus 2.
-    term = subset_term(SubsetS(3, (1, 2)), 2)
+    term = subset_sum(3, 2, [((1, 2), 1)])
     assert extract_rational(term) == Fraction(1, 3)
-    assert subset_term(SubsetS(3, (1, 2)), 1) == CycNum.from_rational(3, 1)
+    assert subset_sum(3, 1, [((1, 2), 1)]) == CycNum.from_rational(3, 1)
 
 
 def test_subset_term_translation_invariance():
     for n, r, g in [(7, 3, 2), (8, 4, 3), (9, 3, 2), (10, 4, 2)]:
         for S in itertools.islice(all_subsets(n, r), 25):
             shifted = tuple(sorted((m % n) + 1 for m in S.members))
-            assert subset_term(S, g) == subset_term(SubsetS(n, shifted), g)
+            assert subset_sum(n, g, [(S.members, 1)]) == subset_sum(n, g, [(shifted, 1)])
 
 
 @settings(max_examples=50, deadline=None)
@@ -249,7 +249,7 @@ def test_subset_term_translation_invariance_random(data):
         st.sets(st.integers(min_value=1, max_value=n), min_size=r, max_size=r)
     )))
     shifted = tuple(sorted((m + t - 1) % n + 1 for m in members))
-    assert subset_term(SubsetS(n, members), g) == subset_term(SubsetS(n, shifted), g)
+    assert subset_sum(n, g, [(members, 1)]) == subset_sum(n, g, [(shifted, 1)])
 
 
 def _assert_orbits_partition_subsets(n_max):
@@ -644,7 +644,7 @@ def test_paths_agree_with_plain_subset_sum():
     for n, r, g in [(7, 3, 2), (8, 3, 3), (9, 4, 2)]:
         total = CycNum.from_rational(n, 0)
         for S in all_subsets(n, r):
-            total = total + subset_term(S, g)
+            total = total + subset_sum(n, g, [(S.members, 1)])
         brute = Fraction(n) ** (r * (g - 1)) * extract_rational(total)
         assert brute == _v_exact(n, r, g)
         assert brute == _v_modular(n, r, g)
