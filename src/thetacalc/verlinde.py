@@ -21,7 +21,11 @@ distinct multiset's term is formed once.  Two production paths produce v_g:
   * genus >= 2: the sum, grouped by distinct difference histograms, is
     evaluated modulo several primes p = 1 (mod n) using a root of unity in
     F_p and reconstructed by CRT (`_v_modular`), rigorously and without
-    assuming anything this library is supposed to verify.  The denominators
+    assuming anything this library is supposed to verify.  The orbits come
+    in blocks of `_CHUNK` cells, their histograms are counted in slices of a
+    quarter block, and each row is packed into integer words and folded into
+    the sorted distinct rows as it comes, so the working set follows the
+    distinct rows, not the orbits (`_merge_histograms`).  The denominators
     are cleared by cyclotomic valuations (Washington, Introduction to
     Cyclotomic Fields, GTM 83, ch. 1-2): with m_d = n / gcd(n, d), the factor
     s_d = 2 - zeta^d - zeta^{-d} = -zeta^{-d} (1 - zeta^d)^2 is a unit unless
@@ -143,18 +147,21 @@ def _necklace_blocks(
     # the caller in cells (by default its own r + 1 gaps).  A frontier row has
     # fixed gaps w[1..t-1] (w[0] = 1 is a sentinel), its prenecklace period p
     # and the sum still to place, rest; gap t ranges over
-    # [w[t-p], rest - (r-t)].  Every index is int32 (n is below 2^31, as
-    # `_primes_one_mod` requires); orbit sizes are int64.
+    # [w[t-p], rest - (r-t)].  Gaps, periods, rest and members take the
+    # narrowest signed type that holds n: int16 below 2^15, else int32 (n is
+    # below 2^31, as `_primes_one_mod` requires); orbit sizes are int64.
     rows = max(1, _CHUNK // (row_cells or r + 1))
-    ones = np.ones((1, r + 1), np.int32)
-    gaps, period, rest = frontier or (ones, ones[:, 0], np.full(1, n, np.int32))
+    if not frontier:
+        ones = np.ones((1, r + 1), np.int16 if n < 2**15 else np.int32)
+        frontier = ones, ones[:, 0], np.full(1, n, ones.dtype)
+    gaps, period, rest = frontier
     lo = gaps[np.arange(len(gaps)), t - period]
     if t == r:
         # The last gap is forced to absorb the rest.  Gap period q means
         # the stabilizer has order r // q: the orbit has n q / r translates.
         q = np.where(rest == lo, period, r)
         keep = (rest >= lo) & (r % q == 0)
-        members = np.cumsum(gaps[keep, :r], axis=1, dtype=np.int32)
+        members = np.cumsum(gaps[keep, :r], axis=1, dtype=gaps.dtype)
         weights = n * q[keep].astype(np.int64) // r
         for s in range(0, len(weights), rows):
             yield members[s : s + rows], weights[s : s + rows]
@@ -168,11 +175,13 @@ def _necklace_blocks(
         # (one parent at least), so each of the r levels holds about one.
         stop = max(int(np.searchsorted(ends, first[start] + rows, "right")), start + 1)
         parent = np.repeat(np.arange(start, stop), count[start:stop])
-        c = lo[parent] + (np.arange(first[start], ends[stop - 1]) - first[parent]).astype(np.int32)
+        c = np.arange(first[start], ends[stop - 1]) - first[parent]
+        c = lo[parent] + c.astype(gaps.dtype)
         child = gaps[parent]
         child[:, t] = c
-        period_c = np.where(c == lo[parent], period[parent], t)
-        yield from _necklace_blocks(n, r, row_cells, t + 1, (child, period_c, rest[parent] - c))
+        frontier = child, np.where(c == lo[parent], period[parent], t), rest[parent] - c
+        del parent, c  # only the children stay alive below this level
+        yield from _necklace_blocks(n, r, row_cells, t + 1, frontier)
         start = stop
 
 
@@ -266,39 +275,84 @@ def _distinct_histograms(n: int, r: int) -> tuple:
     return out
 
 
+def _fold(parts: list) -> None:
+    # Replace parts, a list of (packed rows, orbit sizes), by one such pair:
+    # the distinct rows in increasing order, each with its summed sizes.  The
+    # inputs are dropped before the sort, so a fold peaks near 32 bytes a row
+    # of one word.  Equal words are equal rows, so one word needs no stable
+    # sort; several are sorted stably, the first word last.
+    keys, sizes = map(np.concatenate, zip(*parts))
+    parts.clear()
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    sizes = sizes[order]
+    del order
+    new = np.ones(len(keys), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    parts.append((keys[starts], np.add.reduceat(sizes, starts)))
+
+
 def _merge_histograms(n: int, r: int) -> tuple:
     # Per orbit, the histogram h[d] of folded pair differences d in 0..n//2
     # (h[0] = 0); a term depends on nothing else, so equal rows are merged.
-    # Blocks are sized by a row's C(r, 2) pair and n//2 + 1 histogram cells.
-    # Also returns the columns some row uses: every other column is zero, so
-    # the merge sorts on the used ones only (lexsort costs ~140 bytes a key).
-    # Last come the row maxima that `_crt_bound` scales by g - 1: per prime
-    # power q = p^a || n, (p, phi(q), max_h sum_d h_d w_d), and
+    # Blocks are sized by a row's C(r, 2) pairs and n//2 + 1 histogram cells
+    # and counted in slices of _CHUNK / 4 cells, the only place where the
+    # differences are widened (to intp, for bincount): a slice's temporaries,
+    # about 3 MB, fit a 4 MiB L2 cache.  Each row h_1..h_{n//2} is packed into
+    # int64 words of base r + 1 digits below 2^63, h_1 most significant:
+    # h_d <= r (a pair at folded distance d < n/2 is {s, s + d} for one s in
+    # the subset; at d = n/2 one s serves both ends), so no digit carries and
+    # the words order rows as a lexsort on the columns does.  Pending rows are
+    # folded into the distinct rows kept so far whenever they hold more words
+    # than max(_CHUNK / 8, the kept rows' words), so the working set follows
+    # the distinct rows, not the orbits.  Rank 1 has no pairs and packs no
+    # digit.  Also returns the columns some row uses; the gathers skip the
+    # rest.  Last come the row maxima that `_crt_bound` scales by g - 1: per
+    # prime power q = p^a || n, (p, phi(q), max_h sum_d h_d w_d), and
     # max_h sum_d h_d c_d with c_d = -log2 4 sin^2(pi d / n).
     width = n // 2 + 1
     idx_i, idx_j = np.nonzero(np.arange(r)[:, None] < np.arange(r))  # pairs i < j
-    blocks = []
-    for members, weights in _necklace_blocks(n, r, len(idx_i) + width):
-        delta = members[:, idx_j]
-        delta -= members[:, idx_i]
-        np.minimum(delta, n - delta, out=delta)
-        delta += width * np.arange(len(members), dtype=np.int32)[:, None]
-        hist = np.bincount(delta.ravel(), minlength=width * len(members)).reshape(-1, width)
-        blocks.append((hist.astype(np.min_scalar_type(r)), weights))
-    hist, weights = map(np.concatenate, zip(*blocks))
+    row_cells = len(idx_i) + width
+    slice_rows = max(1, _CHUNK // 4 // row_cells)
+    base, digits = r + 1, n // 2 if r > 1 else 0
+    most = 63 // r.bit_length()  # digits a word holds: base^most <= 2^63, raised while it holds
+    while base ** (most + 1) <= 2**63:
+        most += 1
+    words = max(1, -(-digits // most))
+    per = max(1, -(-digits // words))  # digits spread evenly over the words
+    span = 1 + words * per  # a row's cells padded to whole words; >= width if r > 1
+    place = base ** np.arange(per - 1, -1, -1, dtype=np.int64)
+    parts, pending = [(np.zeros((0, words), np.int64), np.zeros(0, np.int64))], 0
+    for members, weights in _necklace_blocks(n, r, row_cells):
+        for s in range(0, len(members), slice_rows):
+            part = members[s : s + slice_rows]
+            delta = part[:, idx_j]
+            delta -= part[:, idx_i]
+            np.minimum(delta, n - delta, out=delta)
+            delta = delta + span * np.arange(len(part))[:, None]
+            # The gathers leave delta column-major; bincount takes any order.
+            counts = np.bincount(delta.ravel("K"), minlength=span * len(part)).reshape(-1, span)
+            keys = counts[:, 1:].reshape(-1, words, per) @ place
+            parts.append((keys, weights[s : s + slice_rows]))
+            pending += len(part)
+            if pending * words > max(_CHUNK // 8, len(parts[0][0]) * words):
+                _fold(parts)
+                pending = 0
+    _fold(parts)
+    [(keys, weights)] = parts
+    hist = np.zeros((len(keys), width), np.min_scalar_type(r))
+    for j in reversed(range(per)):
+        hist[:, 1 + j : digits + 1 : per] = keys[:, : -(-(digits - j) // per)] % base
+        keys //= base
     cols = np.flatnonzero(hist.any(axis=0)).tolist()
-    if cols:
-        order = np.lexsort([hist[:, d] for d in reversed(cols)])
-        hist, weights = hist[order], weights[order]
-    starts = np.flatnonzero(np.concatenate(([True], (hist[1:] != hist[:-1]).any(axis=1))))
-    hist = hist[starts]
     tops = []
     for p, phi, weight in _valuation_weights(n):
         used = (weight[d] * hist[:, d].astype(np.int64) for d in cols if d in weight)
         tops.append((p, phi, int(sum(used, np.zeros(len(hist), np.int64)).max())))
     costs = (hist[:, d] * -math.log2(4 * math.sin(math.pi * d / n) ** 2) for d in cols)
     cost = float(sum(costs, np.zeros(len(hist))).max())
-    return hist, np.add.reduceat(weights, starts), cols, tops, cost
+    return hist, weights, cols, tops, cost
 
 
 @lru_cache(maxsize=None)

@@ -317,22 +317,83 @@ def test_blocks_smaller_than_the_frontier(monkeypatch, chunk):
             assert _v_exact(n, r, g) == _v_modular(n, r, g)
 
 
-def test_wide_rows_keep_the_enumerator_frontier_small():
-    # v_2(46, 5): about 46 000 orbits whose rows cost C(46, 2) + 26 cells.
-    # Blocks sized in cells hold each of the 46 enumerator levels to about
-    # one block; blocks of 2^15 rows at every level peaked at 250 MB here.
+def _v_modular_in_a_fresh_process(n, r, g):
+    # (value as printed, peak RSS in kB) of one call in a new interpreter.
+    # The peak is VmHWM, the high-water mark of the child's own memory map:
+    # after exec, ru_maxrss still holds the RSS of the process that forked
+    # it, here the test runner's (90-95 MB late in the suite).
     code = (
-        "import resource\n"
         "from thetacalc.verlinde import _v_modular\n"
-        "print(_v_modular(51, 46, 2), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        f"value = _v_modular({n}, {r}, {g})\n"
+        "with open('/proc/self/status') as f:\n"
+        "    status = f.read().split()\n"
+        "print(value, status[status.index('VmHWM:') + 1])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(verlinde.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     value, peak_kb = out.split()
+    return value, int(peak_kb)
+
+
+def test_wide_rows_keep_the_enumerator_frontier_small():
+    # v_2(46, 5): about 46 000 orbits whose rows cost C(46, 2) + 26 cells.
+    # Blocks sized in cells hold each of the 46 enumerator levels to about
+    # one block; blocks of 2^15 rows at every level peaked at 250 MB here.
+    value, peak_kb = _v_modular_in_a_fresh_process(51, 46, 2)
     assert value == "390959316812916605374488"
-    assert int(peak_kb) < 120 * 1024
+    assert peak_kb < 120 * 1024
+
+
+def test_many_orbits_keep_the_merge_near_the_distinct_rows():
+    # v_2(9, 23): 876 525 orbits fold into 418 881 distinct rows.  Keeping
+    # every orbit's row until one final sort peaked at 106-110 MB; folding
+    # packed rows as they come peaks near 62 MB.
+    value, peak_kb = _v_modular_in_a_fresh_process(32, 9, 2)
+    assert value == "210441212536512151382511021128155136"
+    assert peak_kb < 80 * 1024
+
+
+@pytest.mark.parametrize(
+    "n, r, chunk",
+    [(12, 5, 64), (25, 9, 4096), (51, 46, 1 << 19), (30, 3, 64), (64, 3, 256), (20, 1, 16)],
+)
+def test_streamed_merge_equals_one_shot_merge(monkeypatch, n, r, chunk):
+    # At the default block size the first three fold their rows at most
+    # twice; small blocks cut them into many slices and folds.  (51, 46)
+    # packs a row into three words and (64, 3) into two; rank 1 packs none.
+    one_shot = _merge_histograms(n, r)
+    fold, folds = verlinde._fold, []
+
+    def counted_fold(parts):
+        folds.append(len(parts))
+        fold(parts)
+
+    monkeypatch.setattr(verlinde, "_fold", counted_fold)
+    monkeypatch.setattr(verlinde, "_CHUNK", chunk)
+    streamed = hist, weights, cols, *_ = _merge_histograms(n, r)
+    assert len(folds) >= (3 if r > 1 else 1)
+    for new, old in zip(streamed[:2], one_shot[:2]):
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert streamed[2:] == one_shot[2:]
+    rows = hist[:, cols].tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert int(weights.sum()) == math.comb(n, r)
+
+
+@pytest.mark.parametrize("n, dtype", [(2**15 - 1, np.int16), (2**15 + 1, np.int32)])
+def test_enumerator_takes_the_narrowest_type_that_holds_n(n, dtype):
+    total = 0
+    for members, weights in verlinde._necklace_blocks(n, 2):
+        assert members.dtype == dtype and weights.dtype == np.int64
+        assert (1 <= members[:, 0]).all() and (members[:, 0] < members[:, 1]).all()
+        assert (members[:, 1] <= n).all()
+        total += int(weights.sum())
+    assert total == math.comb(n, 2)
+    orbits = list(necklace_orbits(n, 2))
+    assert all(type(x) is int for members, size in orbits for x in (*members, size))
+    assert sum(size for _, size in orbits) == math.comb(n, 2)
 
 
 def test_mirror_orbits_share_histograms():
