@@ -7,7 +7,7 @@ its output record lists them, in that order, as its params.  Each process
 builds the parser once, on its first run.  Results print to stdout in one
 of four formats (plain, json, csv, latex); every exact value is rendered as
 an integer or reduced fraction string, so all formats carry identical
-values.  Only --mode float rounds to a decimal, and only it imports mpmath.
+values.  Only --mode float rounds to a decimal, in integer arithmetic.
 Timing goes to stderr, keeping stdout byte-for-byte reproducible.
 
 Exit codes: 0 success; 1 a hypothesis of a formula was violated by the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from . import chern, heisenberg, pgl, splitting, torsion, verlinde
 from .exactnum import ConsistencyError, HypothesisError
-from .identities import IDENTITY_CASES, RangeSpec, parse_range_spec
+from .identities import IDENTITY_CASES, RangeSpec, parse_range_spec, range_caps
 
 FORMATS = ("plain", "json", "csv", "latex")
 
@@ -85,13 +86,58 @@ def render(record: OutputRecord, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _float_str(value) -> str:
-    import mpmath  # only --mode float loads it
+_BITS = 60  # the binary precision of 17 decimal digits
 
+
+def _round_bits(n: int, d: int) -> tuple[int, int]:
+    """(q, e) with q * 2**e the positive n / d rounded to _BITS bits, ties to even."""
+    e = n.bit_length() - d.bit_length() - _BITS
+    num, den = (n, d << e) if e >= 0 else (n << -e, d)
+    q, r = divmod(num, den)
+    if q >> _BITS:  # one bit too many: move the last into the remainder
+        r += (q & 1) * den
+        q, den, e = q >> 1, den << 1, e + 1
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q, e
+
+
+def _float_str(value) -> str:
+    """`value` to 15 significant digits, in integer arithmetic only.
+
+    The string is the one nstr(mpf(numerator) / denominator, 15) printed at
+    17 decimal digits (60 bits) before this replaced it: the numerator and
+    then the quotient are rounded to 60 bits, ties to even, and that binary
+    value is rounded half up to 15 digits; decimal exponents strictly
+    between -5 and 15 print in fixed notation, trailing zeros stripped.
+    Past 2**±3500 nstr found the digits through an approximate power of
+    ten; here every digit is exact, from one power of 5 and shifts.
+    """
     value = Fraction(value)
-    with mpmath.workdps(17):
-        approx = mpmath.mpf(value.numerator) / value.denominator
-        return mpmath.nstr(approx, 15)
+    if not value:
+        return "0.0"
+    q, e = _round_bits(abs(value.numerator), 1)
+    q, shift = _round_bits(q, value.denominator)
+    e += shift
+    # floor(q * 2**e / 10**k), twenty-odd digits: the float estimate of
+    # log10 is off by far less than the one digit this needs.
+    k = math.floor(math.log10(q) + e * math.log10(2)) - 20
+    num, den = (q * 5**-k, 1) if k < 0 else (q, 5**k)
+    num, den = (num << e - k, den) if e >= k else (num, den << k - e)
+    digits = str(num // den)
+    exponent = k + len(digits) - 1
+    mantissa = int(digits[:15]) + (digits[15] >= "5")
+    if mantissa == 10**15:
+        mantissa, exponent = 10**14, exponent + 1
+    digits = str(mantissa)
+    fixed = -5 < exponent < 15
+    if fixed and exponent < 0:
+        digits = "0" * -exponent + digits
+    point = exponent + 1 if fixed and exponent >= 0 else 1
+    text = (digits[:point] + "." + digits[point:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return ("-" if value < 0 else "") + text + ("" if fixed else f"e{exponent:+d}")
 
 
 def _record(args, columns, rows, mode="exact") -> OutputRecord:
@@ -176,6 +222,9 @@ def _cmd_identities(args) -> tuple[int, OutputRecord | None]:
             failures += 1
             print(f"FAIL {name}: {detail}")
     print(f"passed {len(IDENTITY_CASES) - failures} of {len(IDENTITY_CASES)}")
+    capped = range_caps(ranges)
+    if capped:
+        print(f"range-spec capped: {capped}", file=sys.stderr)
     return (0 if failures == 0 else 2), None
 
 

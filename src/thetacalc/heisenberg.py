@@ -35,11 +35,13 @@ need is out of scope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .exactnum import (
     ConsistencyError, CycNum, HypothesisError, check_price, divisors, extract_rational,
@@ -115,6 +117,13 @@ def all_elements(m: int, g: int) -> Iterator[HeisenbergElement]:
         yield HeisenbergElement(m, coords[0], coords[1 : g + 1], coords[g + 1 :])
 
 
+@functools.cache
+def _basis(m: int, g: int) -> tuple[tuple[tuple[int, ...], ...], Mapping[tuple[int, ...], int]]:
+    """(Z/m)^g in itertools.product order, and each vector's index in it."""
+    basis = tuple(itertools.product(range(m), repeat=g))
+    return basis, MappingProxyType({w: i for i, w in enumerate(basis)})
+
+
 @dataclass(frozen=True)
 class SchrodingerRep:
     """The weight-n Schroedinger representation on functions on (Z/m)^g."""
@@ -136,8 +145,7 @@ class SchrodingerRep:
         if h.m != self.m or h.g != self.g:
             raise HypothesisError("element does not match the representation")
         m, n = self.m, self.n
-        basis = list(itertools.product(range(m), repeat=self.g))
-        index = {w: i for i, w in enumerate(basis)}
+        basis, index = _basis(m, self.g)
         targets, phases = [], []
         for w in basis:
             target = tuple((a - b) % m for a, b in zip(w, h.x))

@@ -26,6 +26,13 @@ class RangeSpec:
     d_list: tuple[int, ...] = (1, 3)
 
 
+# Caps that hold whatever the ranges say: the torsion walks grow as h^{2g}
+# and the coperiodic case visits every subset of Z/n.
+GENUS_CAP = 2  # the character-sum and splitting cases
+POINT_CAP = 100_000  # the character-sum case skips h^{2g} above it
+SUBSET_N_CAP = 12  # the coperiodic case
+
+
 def parse_range_spec(path: str) -> RangeSpec:
     values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
@@ -97,8 +104,8 @@ def _case_partition(ranges: RangeSpec) -> str | None:
 
 def _case_character_sum(ranges: RangeSpec) -> str | None:
     for h in ranges.h_list:
-        for g in range(1, min(ranges.g_max, 2) + 1):
-            if h ** (2 * g) > 100_000:
+        for g in range(1, min(ranges.g_max, GENUS_CAP) + 1):
+            if h ** (2 * g) > POINT_CAP:
                 continue
             for omega in torsion.divisors(h):
                 xi = _one_character(h, g, omega)
@@ -114,7 +121,7 @@ def _case_character_sum(ranges: RangeSpec) -> str | None:
 
 def _case_splitting(ranges: RangeSpec) -> str | None:
     odd = [h for h in ranges.h_list if h % 2 == 1]
-    genera = range(1, min(ranges.g_max, 2) + 1)
+    genera = range(1, min(ranges.g_max, GENUS_CAP) + 1)
     # multiplicity_oracle walks all of (Z/h)^{2g} per (r, k) and omega | h:
     # the largest walk is priced alone, as the oracle does, then all of them.
     walks = [(h ** (2 * g), h, g) for h in odd for g in genera]
@@ -175,7 +182,7 @@ def _case_sine(ranges: RangeSpec) -> str | None:
 
 
 def _case_coperiodic(ranges: RangeSpec) -> str | None:
-    for n in range(2, min(ranges.n_max, 12) + 1):
+    for n in range(2, min(ranges.n_max, SUBSET_N_CAP) + 1):
         for r in range(1, n):
             for S in verlinde.all_subsets(n, r):
                 delta_s = pgl.coperiod(S).delta
@@ -275,3 +282,20 @@ IDENTITY_CASES: tuple[tuple[str, Callable[[RangeSpec], str | None]], ...] = (
     ("wirtinger dimensions and isogeny bookkeeping", _case_wirtinger),
     ("schrodinger irreducibility and census shapes", _case_heisenberg),
 )
+
+
+def range_caps(ranges: RangeSpec) -> str | None:
+    """The cases whose caps cut `ranges` short, and those caps; None if none does."""
+    caps: dict[Callable, list[str]] = {
+        _case_character_sum: [], _case_splitting: [], _case_coperiodic: [],
+    }
+    if ranges.g_max > GENUS_CAP:
+        caps[_case_character_sum].append(f"g <= {GENUS_CAP}")
+        caps[_case_splitting].append(f"g <= {GENUS_CAP}")
+    genera = range(1, min(ranges.g_max, GENUS_CAP) + 1)
+    if any(h ** (2 * g) > POINT_CAP for h in ranges.h_list for g in genera):
+        caps[_case_character_sum].append(f"h^(2g) <= {POINT_CAP}")
+    if ranges.n_max > SUBSET_N_CAP:
+        caps[_case_coperiodic].append(f"n <= {SUBSET_N_CAP}")
+    cut = [f"{name} at {' and '.join(caps[fn])}" for name, fn in IDENTITY_CASES if caps.get(fn)]
+    return "; ".join(cut) or None

@@ -12,7 +12,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thetacalc import cli, verlinde
 from thetacalc.exactnum import ConsistencyError, HypothesisError
@@ -176,7 +179,7 @@ class TestFormats:
         ids=["v", "dim", "symbol", "trace", "v-huge"],
     )
     def test_float_mode_output_is_unchanged(self, capsys, argv, out):
-        # mpmath is imported inside _float_str; its rounding is as before.
+        # _float_str rounds in integers, to the strings mpmath printed before.
         assert run_cli(capsys, *argv, "--mode", "float")[:2] == (0, out + "\n")
 
     def test_float_mode_on_v_rounds_the_exact_value(self, capsys, monkeypatch):
@@ -193,6 +196,100 @@ class TestFormats:
             "--mode", "float",
         )
         assert (code, out) == (0, "3.33333333333333e+19\n")
+
+
+def _mpmath_str(value: Fraction) -> str:
+    """What --mode float printed while it called mpmath."""
+    with mpmath.workdps(17):
+        return mpmath.nstr(mpmath.mpf(value.numerator) / value.denominator, 15)
+
+
+@st.composite
+def _signed_fractions(draw):
+    # Up to 200 bits each side, shifted by up to 2**±12000: mpmath's exact
+    # digit path ends at 2**±3500, so both of its paths are drawn.
+    num = draw(st.integers(1, 2**200))
+    den = draw(st.integers(1, 2**200))
+    shift = draw(st.integers(-12_000, 12_000))
+    num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
+    return Fraction(draw(st.sampled_from((1, -1))) * num, den)
+
+
+_README_V = verlinde.v_number(verlinde.VerlindeQuery(200, 4, 4))
+_HUGE = 3**524_000 + 1  # 250 012 digits
+
+# (value, the string both roundings print)
+_FLOAT_CASES = [
+    (Fraction(0), "0.0"),
+    (Fraction(10**15 + 5), "1.00000000000001e+15"),  # 16th digit 5, then zeros
+    (Fraction(-1234567890123455 * 10**3), "-1.23456789012346e+18"),
+    (Fraction(99999999999999995 * 10**4), "1.0e+21"),  # 9.9999999999999995e20
+    (Fraction(-99999999999999995, 10**23), "-1.0e-6"),
+    # A 60-bit tie that ties-to-even rounds down to just below a decimal tie.
+    (Fraction(5000000000000004996), "5.0e+18"),
+    # Just below 9300000000000015000, which 61 bits hold exactly and 60 do not.
+    (Fraction(3 * 9300000000000015000 - 8, 3), "9.30000000000001e+18"),
+    (Fraction(123456789, 10**14), "1.23456789e-6"),
+    (Fraction(123456789, 10**13), "1.23456789e-5"),
+    (Fraction(123456789, 10**12), "0.000123456789"),
+    (Fraction(123456789012345678, 10**3), "123456789012346.0"),
+    (Fraction(123456789012345678, 10**2), "1.23456789012346e+15"),
+    (Fraction(_README_V), "3.07302326732502e+632"),
+    (Fraction(_HUGE), "3.44725256262824e+250011"),
+]
+
+
+class TestFloatRounding:
+    """_float_str against mpmath, which it replaced."""
+
+    @pytest.mark.parametrize("value,text", _FLOAT_CASES, ids=range(len(_FLOAT_CASES)))
+    def test_worked_values(self, value, text):
+        assert (cli._float_str(value), _mpmath_str(value)) == (text, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_signed_fractions())
+    @example(Fraction(1, 3 * 2**3499))
+    @example(Fraction(2**3500 + 1, 3))
+    @example(Fraction(-(10**1200) - 1, 7))
+    def test_agrees_with_mpmath(self, value):
+        assert cli._float_str(value) == _mpmath_str(value)
+
+    def test_structured_sweep_agrees_with_mpmath(self):
+        # Powers of ten and their neighbours, the carries 2**j - 1 -> 2**j
+        # and the ties 2**61 + odd of the 60-bit rounding, over several
+        # denominators, and the Verlinde numbers the CLI prints.
+        values = [
+            Fraction(10) ** j + delta for j in range(-40, 60) for delta in (-1, 0, 1)
+        ]
+        values += [Fraction(1, 10**j + delta) for j in range(1, 40) for delta in (-1, 1)]
+        values += [
+            Fraction(num, den)
+            for num in [2**j - 1 for j in (59, 60, 61, 62, 200, 4000)]
+            + [2**61 + odd for odd in (1, 3, 5, 7)]
+            for den in (1, 3, 10**15, 2**61 - 1, 7**1500)
+        ]
+        values += [
+            Fraction(verlinde.v_number(verlinde.VerlindeQuery(g, r, k)))
+            for g in (2, 3, 5, 40) for r in range(1, 5) for k in range(1, 8)
+        ]
+        mismatches = [
+            (v, cli._float_str(v), _mpmath_str(v))
+            for v in values + [-v for v in values]
+            if cli._float_str(v) != _mpmath_str(v)
+        ]
+        assert mismatches == []
+
+    def test_huge_value_renders_without_a_long_division(self):
+        # One power of 5 and shifts: 250 000 digits take about 13 ms on a
+        # 2-vCPU VM; str() of the integer alone takes seconds.
+        best = min(_timed(cli._float_str, _HUGE) for _ in range(3))
+        assert best < 0.3
+
+
+def _timed(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
 
 
 class TestExitCodes:
@@ -365,6 +462,43 @@ class TestIdentities:
         _, out_four, _ = run_cli(capsys, "identities", "--range-spec", str(path), "--threads", "4")
         assert out_one == out_four
 
+    def test_capped_range_spec_is_named_on_stderr(self, capsys, monkeypatch, tmp_path):
+        # g_max=5 and n_max=14 run past the genus cap of the character-sum
+        # and splitting cases and the n cap of the coperiodic case; stdout
+        # stays as it was, and one stderr line names the caps.
+        path = tmp_path / "range.txt"
+        path.write_text("g_max=5\nn_max=14\n")
+        capped = (
+            "range-spec capped: torsion character-sum law at g <= 2; "
+            "splitting multiplicities against Fourier inversion at g <= 2; "
+            "coperiodic pair-product factorization at n <= 12"
+        )
+        assert "range-spec capped: " + cli.range_caps(cli.parse_range_spec(str(path))) == capped
+        # The cases themselves are replaced by one that passes: the line
+        # depends on the ranges only.
+        monkeypatch.setattr(cli, "IDENTITY_CASES", (("passing probe", lambda ranges: None),))
+        code, out, err = run_cli(capsys, "identities", "--range-spec", str(path))
+        assert (code, out) == (0, "ok passing probe\npassed 1 of 1\n")
+        assert err.splitlines()[0] == capped
+        assert err.splitlines()[1].startswith("elapsed_ms=")
+
+    def test_skipped_torsion_walk_is_named(self, tmp_path):
+        path = tmp_path / "range.txt"
+        path.write_text("g_max=1\nh_list=1,401\n")
+        assert cli.range_caps(cli.parse_range_spec(str(path))) == (
+            "torsion character-sum law at h^(2g) <= 100000"
+        )
+
+    def test_uncapped_ranges_print_no_cap_line(self, capsys, tmp_path):
+        # The default ranges (which perfbench compares) and a small spec.
+        assert cli.range_caps(cli.RangeSpec()) is None
+        path = tmp_path / "range.txt"
+        path.write_text("g_max=2\nn_max=12\nh_list=1,3,17\n")
+        assert cli.range_caps(cli.parse_range_spec(str(path))) is None
+        code, _, err = run_cli(capsys, "identities")
+        assert code == 0
+        assert [line for line in err.splitlines() if not line.startswith("elapsed_ms=")] == []
+
     def test_failing_case_is_named_and_exits_2(self, capsys, monkeypatch):
         probe = (("always failing probe", lambda ranges: "probe detail"),)
         monkeypatch.setattr(cli, "IDENTITY_CASES", probe)
@@ -437,7 +571,8 @@ class TestOneParserPerProcess:
         assert cli.build_parser() is cli.build_parser()
 
     def test_import_builds_no_parser_and_loads_no_mpmath(self):
-        # Only --mode float loads mpmath; the first run builds the parser.
+        # No command loads mpmath, --mode float included; the first run
+        # builds the parser.
         proc = _fresh_process(
             "import sys, io, contextlib\n"
             "from thetacalc import cli\n"
@@ -452,7 +587,7 @@ class TestOneParserPerProcess:
             "print('mpmath' in sys.modules)\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["0 1 False", "True"]
+        assert proc.stdout.splitlines() == ["0 1 False", "False"]
 
     def test_one_process_answers_as_fresh_processes_do(self, capsys, monkeypatch):
         # The same parser serves every argv in turn: each stdout and exit code

@@ -108,6 +108,20 @@ class TestSchrodingerRep:
             trace = sum((mat[i][i] for i in range(rep.dim)), CycNum.from_rational(m, 0))
             assert rep.character(h) == trace
 
+    @pytest.mark.parametrize("m,g", [(3, 1), (3, 2), (5, 1)])
+    def test_action_matches_a_freshly_built_basis(self, m, g):
+        # The basis and its index are built once per (m, g); every action
+        # equals the one worked out on a basis built here, by the docstring's
+        # rule e_w -> zeta^{n (t + <y, w - x>)} e_{w - x}.
+        basis = list(itertools.product(range(m), repeat=g))
+        index = {w: i for i, w in enumerate(basis)}
+        for n in range(1, m):
+            rep = schrodinger_rep(m, n, g)
+            for h in all_elements(m, g):
+                images = [tuple((a - b) % m for a, b in zip(w, h.x)) for w in basis]
+                phases = [n * (h.t + sum(b * c for b, c in zip(h.y, v))) % m for v in images]
+                assert rep.action(h) == ([index[v] for v in images], phases)
+
     def test_wrong_phase_breaks_the_group_law(self, monkeypatch):
         action = SchrodingerRep.action
         x_generator = HeisenbergElement(5, 0, (1,), (0,))
